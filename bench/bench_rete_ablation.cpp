@@ -1,15 +1,9 @@
 // Rete design ablation: the three network optimizations this implementation
 // shares with ParaOPS5 and Doorenbos — node sharing between productions with
 // common prefixes, hash-indexed join memories, and left/right node unlinking.
-// Each is toggled off to show its contribution on the LCC workload. A second
-// section measures the value-domain specialization pass: the generated LCC
-// base itself is clean (empty plan), so the workload is augmented with a
-// batch of provably-infeasible probe productions the abstract interpreter
-// can prune — the before/after match cost is the pass's headroom.
+// Each is toggled off to show its contribution on the LCC workload.
 
-#include "analysis/value_domain.hpp"
 #include "bench/harness.hpp"
-#include "ops5/parser.hpp"
 
 namespace psmsys::bench {
 
@@ -26,69 +20,6 @@ util::WorkUnits run_with(const spam::Scene& scene, const std::vector<spam::Fragm
   auto engine = phase.make_engine(scene, options);
   if (stats_out != nullptr) *stats_out = engine->network().stats();
 
-  spam::seed_fragment_wmes(*engine, best);
-  spam::seed_constraint_wmes(*engine);
-  spam::seed_support_wmes(*engine, best);
-  for (std::size_t i = 0; i < spam::kRegionClassCount; ++i) {
-    engine->make_wme(
-        "lcc-task",
-        {{"level", ops5::Value(4.0)},
-         {"subject-class", ops5::Value(*engine->program().symbols().find(
-                               spam::class_name(static_cast<spam::RegionClass>(i))))}});
-  }
-  (void)engine->run();
-  return engine->counters().match_cost;
-}
-
-/// LCC plus `n` infeasible probes: each joins real fragment traffic against
-/// a relation name the constraint catalog can never produce, so the value
-/// domain of relation.name (a constant set) proves the production dead. The
-/// unspecialized network still pays alpha tests and left-memory insertions
-/// for every probe; the specialization plan prunes them at compile time.
-std::string augmented_lcc_source(int n) {
-  std::string src = spam::lcc_source();
-  for (int i = 0; i < n; ++i) {
-    const std::string tag = std::to_string(i);
-    src += "(p dead-probe-" + tag +
-           "\n"
-           "   (fragment ^id <s> ^best yes)\n"
-           "   (relation ^name no-such-relation-" + tag +
-           " ^subject <s>)\n"
-           "   -->\n   (halt))\n";
-  }
-  return src;
-}
-
-/// Runs the augmented workload with the plan applied (or not); reports the
-/// prune count through `pruned_out` when specializing.
-util::WorkUnits run_specialized(const spam::Scene& scene,
-                                const std::vector<spam::Fragment>& best, bool specialize,
-                                std::size_t* pruned_out) {
-  spam::PhaseProgram phase = spam::build_lcc_program();
-  phase.program =
-      std::make_shared<const ops5::Program>(ops5::parse_program(augmented_lcc_source(8)));
-
-  ops5::EngineOptions options;
-  if (specialize) {
-    const auto cls = [&](const char* name) {
-      return *phase.program->class_index(*phase.program->symbols().find(name));
-    };
-    analysis::ValueDomainOptions vdo;
-    vdo.seed_classes = {{cls("fragment"), cls("constraint"), cls("support"), cls("lcc-task")}};
-    vdo.output_classes = {{cls("context"), cls("consistency"), cls("relation")}};
-    // The constraint catalog writes more than the default 8 distinct
-    // relation names; keep the constant set exact so the probes' bogus
-    // names stay provably outside it.
-    vdo.max_constants = 64;
-    const analysis::ValueDomainReport vd =
-        analysis::analyze_value_domains(*phase.program, vdo);
-    options.rete.specialize =
-        vd.converged && analysis::verify_specialization(*phase.program, vdo, vd).empty();
-    options.rete.plan = vd.plan;
-    if (pruned_out != nullptr) *pruned_out = vd.plan->pruned_productions.size();
-  }
-
-  auto engine = phase.make_engine(scene, options);
   spam::seed_fragment_wmes(*engine, best);
   spam::seed_constraint_wmes(*engine);
   spam::seed_support_wmes(*engine, best);
@@ -147,29 +78,6 @@ PSMSYS_BENCH_CASE(rete_ablation, "rete",
         "Unlinking (Doorenbos) trims the residual activations of quiescent\n"
         "productions without changing any match result.\n";
   ctx.table("rete_ablation", table);
-
-  // Value-domain specialization: the augmented workload (LCC + 8 infeasible
-  // probe productions) with the proof-carrying plan off, then on.
-  std::size_t pruned = 0;
-  const util::WorkUnits plain = run_specialized(scene, best, false, nullptr);
-  const util::WorkUnits spec = run_specialized(scene, best, true, &pruned);
-  const double ratio = static_cast<double>(spec) / static_cast<double>(plain);
-  ctx.metric("specialized_vs_plain", ratio);
-  ctx.metric("specialization_pruned", static_cast<double>(pruned));
-
-  util::Table spec_table(
-      {"specialization", "match cost (wu)", "vs plain", "productions pruned"});
-  spec_table.add_row({"off", util::Table::fmt(plain), "1.00x", "0"});
-  spec_table.add_row({"on", util::Table::fmt(spec), util::Table::fmt(ratio, 2) + "x",
-                      util::Table::fmt(pruned)});
-  spec_table.print(os, "Same workload + 8 infeasible probe productions, with and "
-                       "without the value-domain specialization plan");
-  os << "\nThe abstract interpreter proves each probe's relation-name test\n"
-        "value-disjoint with relation.name's inferred constant set, prunes the\n"
-        "productions at compile time, and carries a certificate the network\n"
-        "re-verifies before applying the plan. Firing behaviour is identical;\n"
-        "only the provably-dead match work disappears.\n";
-  ctx.table("rete_specialization", spec_table);
 }
 
 }  // namespace psmsys::bench

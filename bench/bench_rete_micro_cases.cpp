@@ -13,13 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "bench/harness.hpp"
 #include "ops5/parser.hpp"
 #include "rete/network.hpp"
 #include "spam/constraints.hpp"
 #include "spam/programs.hpp"
-#include "spam/scene_generator.hpp"
 
 namespace psmsys::bench {
 
@@ -79,76 +77,6 @@ std::string quiescent_source(std::size_t idle) {
   }
   return src;
 }
-
-/// The L2 workload: Level-2 task WMEs pairing fragments with their
-/// subject-class constraints, then the best fragments themselves. Built
-/// against `program`'s own class/symbol tables so it also works for
-/// augmented program variants.
-struct L2Trace {
-  std::vector<std::unique_ptr<ops5::Wme>> wmes;
-  std::size_t task_count = 0;
-};
-
-L2Trace build_l2_trace(const ops5::Program& program, const std::vector<spam::Fragment>& best) {
-  const auto frag_cls = *program.class_index(*program.symbols().find("fragment"));
-  const auto& frag_decl = program.wme_class(frag_cls);
-  const auto task_cls = *program.class_index(*program.symbols().find("lcc-task"));
-  const auto& task_decl = program.wme_class(task_cls);
-  const auto yes = ops5::Value(*program.symbols().find("yes"));
-
-  L2Trace trace;
-  ops5::TimeTag tag = 1;
-  for (const auto& f : best) {
-    for (const auto* c : spam::constraints_for(f.cls)) {
-      std::vector<ops5::Value> slots(task_decl.arity());
-      slots[task_decl.slot_of(*program.symbols().find("level"))] = ops5::Value(2.0);
-      slots[task_decl.slot_of(*program.symbols().find("subject"))] = ops5::Value(double(f.id));
-      slots[task_decl.slot_of(*program.symbols().find("constraint"))] =
-          ops5::Value(double(c->id));
-      slots[task_decl.slot_of(*program.symbols().find("subject-class"))] =
-          ops5::Value(*program.symbols().find(spam::class_name(c->subject)));
-      trace.wmes.push_back(
-          std::make_unique<ops5::Wme>(task_cls, task_decl.name(), std::move(slots), tag++));
-      ++trace.task_count;
-    }
-  }
-  for (const auto& f : best) {
-    std::vector<ops5::Value> slots(frag_decl.arity());
-    slots[frag_decl.slot_of(*program.symbols().find("id"))] = ops5::Value(double(f.id));
-    slots[frag_decl.slot_of(*program.symbols().find("region"))] = ops5::Value(double(f.region));
-    slots[frag_decl.slot_of(*program.symbols().find("class"))] =
-        ops5::Value(*program.symbols().find(spam::class_name(f.cls)));
-    slots[frag_decl.slot_of(*program.symbols().find("score"))] = ops5::Value(f.score);
-    slots[frag_decl.slot_of(*program.symbols().find("best"))] = yes;
-    trace.wmes.push_back(
-        std::make_unique<ops5::Wme>(frag_cls, frag_decl.name(), std::move(slots), tag++));
-  }
-  return trace;
-}
-
-/// Records the full delta log as strings keyed by production + timetags.
-class LogListener final : public rete::MatchListener {
- public:
-  explicit LogListener(const ops5::Program& program) : program_(program) {}
-  void on_activate(const ops5::Production& p, std::span<const ops5::Wme* const> wmes) override {
-    log_.push_back("+" + key(p, wmes));
-  }
-  void on_deactivate(const ops5::Production& p,
-                     std::span<const ops5::Wme* const> wmes) override {
-    log_.push_back("-" + key(p, wmes));
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
-
- private:
-  [[nodiscard]] std::string key(const ops5::Production& p,
-                                std::span<const ops5::Wme* const> wmes) const {
-    std::string k{program_.symbols().name(p.name())};
-    for (const auto* w : wmes) k += ":" + std::to_string(w->timetag());
-    return k;
-  }
-  const ops5::Program& program_;
-  std::vector<std::string> log_;
-};
 
 }  // namespace
 
@@ -372,121 +300,6 @@ PSMSYS_BENCH_CASE(lcc_l2_trace, "rete_micro",
   if (runs[0].wu > runs[1].wu) {
     ctx.fail("unlinking increased model match cost on the L2 trace");
   }
-}
-
-PSMSYS_BENCH_CASE(lcc_l2_specialized, "rete_micro",
-                  "LCC Level-2 trace: value-domain specialization equivalence gate") {
-  auto& os = ctx.out();
-
-  // The LCC base plus 8 provably-infeasible probe productions (a bogus
-  // relation name the constraint catalog can never write). The value-domain
-  // pass prunes them behind its verified certificate; the gate then replays
-  // the L2 trace through the plain and the specialized network in lockstep
-  // and fails on ANY observable divergence: per-operation delta multisets
-  // must be identical (byte order within one retraction may legally shuffle
-  // — pruning removes the probes' prefix tokens from the per-WME swap-erase
-  // vectors — which the engine's set-based conflict resolution never sees),
-  // and the specialized match cost must not exceed the plain one.
-  std::string src = spam::lcc_source();
-  for (int i = 0; i < 8; ++i) {
-    const std::string tag = std::to_string(i);
-    src += "(p dead-probe-" + tag +
-           "\n   (fragment ^id <s> ^best yes)\n"
-           "   (relation ^name no-such-relation-" + tag +
-           " ^subject <s>)\n   -->\n   (halt))\n";
-  }
-  const auto program = std::make_shared<const ops5::Program>(ops5::parse_program(src));
-
-  const auto cls = [&](const char* name) {
-    return *program->class_index(*program->symbols().find(name));
-  };
-  analysis::ValueDomainOptions vdo;
-  vdo.seed_classes = {{cls("fragment"), cls("constraint"), cls("support"), cls("lcc-task")}};
-  vdo.output_classes = {{cls("context"), cls("consistency"), cls("relation")}};
-  vdo.max_constants = 64;  // the catalog writes more than 8 relation names
-  const analysis::ValueDomainReport vd = analysis::analyze_value_domains(*program, vdo);
-  const auto violations = analysis::verify_specialization(*program, vdo, vd);
-  if (!violations.empty()) {
-    ctx.fail("specialization certificate failed verification: " + violations.front());
-    return;
-  }
-  if (!vd.converged || vd.plan->pruned_productions.empty()) {
-    ctx.fail("value-domain pass failed to prune the infeasible probes");
-    return;
-  }
-  ctx.metric("pruned_productions", double(vd.plan->pruned_productions.size()));
-
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
-  const auto scene = spam::generate_scene(config);
-  const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
-  const L2Trace trace = build_l2_trace(*program, best);
-
-  LogListener plain_l(*program), spec_l(*program);
-  util::WorkCounters plain_c, spec_c;
-  rete::Network plain(*program, plain_l, plain_c);
-  rete::NetworkOptions spec_options;
-  spec_options.specialize = true;
-  spec_options.plan = vd.plan;
-  rete::Network spec(*program, spec_l, spec_c, {}, spec_options);
-
-  std::size_t plain_seen = 0, spec_seen = 0;
-  std::size_t divergences = 0;
-  const auto step_check = [&]() {
-    std::vector<std::string> ps(plain_l.log().begin() + std::ptrdiff_t(plain_seen),
-                                plain_l.log().end());
-    std::vector<std::string> ss(spec_l.log().begin() + std::ptrdiff_t(spec_seen),
-                                spec_l.log().end());
-    std::sort(ps.begin(), ps.end());
-    std::sort(ss.begin(), ss.end());
-    if (ps != ss) ++divergences;
-    plain_seen = plain_l.log().size();
-    spec_seen = spec_l.log().size();
-  };
-  const auto drive = [&](const ops5::Wme& w, bool add) {
-    if (add) {
-      plain.add_wme(w);
-      spec.add_wme(w);
-    } else {
-      plain.remove_wme(w);
-      spec.remove_wme(w);
-    }
-    step_check();
-  };
-  for (const auto& w : trace.wmes) drive(*w, true);
-  for (std::size_t i = trace.task_count; i < trace.wmes.size(); i += 3) {
-    drive(*trace.wmes[i], false);
-  }
-  for (std::size_t i = trace.task_count; i < trace.wmes.size(); i += 3) {
-    drive(*trace.wmes[i], true);
-  }
-
-  util::Table table({"network", "match cost (wu)", "deltas", "divergent steps"});
-  table.add_row({"plain", util::Table::fmt(plain_c.match_cost),
-                 util::Table::fmt(plain_l.log().size()), "0"});
-  table.add_row({"specialized", util::Table::fmt(spec_c.match_cost),
-                 util::Table::fmt(spec_l.log().size()), util::Table::fmt(divergences)});
-  table.print(os, "L2 trace through the plain vs the specialized network (" +
-                      std::to_string(vd.plan->pruned_productions.size()) +
-                      " productions pruned by certificate)");
-  ctx.table("lcc_l2_specialized", table);
-  ctx.metric("wu_plain", double(plain_c.match_cost));
-  ctx.metric("wu_specialized", double(spec_c.match_cost));
-  ctx.metric("divergent_steps", double(divergences));
-
-  if (divergences > 0) {
-    ctx.fail("specialization changed a per-operation delta multiset");
-    return;
-  }
-  if (plain_l.log().size() != spec_l.log().size()) {
-    ctx.fail("specialization changed the total delta count");
-    return;
-  }
-  if (spec_c.match_cost > plain_c.match_cost) {
-    ctx.fail("specialization increased model match cost on the L2 trace");
-    return;
-  }
-  os << "\nspecialized/plain cost ratio: "
-     << util::Table::fmt(double(spec_c.match_cost) / double(plain_c.match_cost), 3) << "x\n";
 }
 
 }  // namespace psmsys::bench

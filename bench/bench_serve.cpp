@@ -102,7 +102,7 @@ PSMSYS_BENCH_CASE(serve_scaling, "serve",
     for (const auto& v : violations) ctx.fail("serve rollup schema: " + v);
     if (stats.completed != clients * per_client) ctx.fail("closed loop lost scenes");
 
-    const std::string tag = "n" + std::to_string(clients) + "_";
+    const std::string tag = std::string("n").append(std::to_string(clients)).append("_");
     ctx.metric(tag + "scenes_per_sec", stats.scenes_per_sec);
     ctx.metric(tag + "p50_ns", static_cast<double>(stats.latency.p50_ns));
     ctx.metric(tag + "p99_ns", static_cast<double>(stats.latency.p99_ns));

@@ -471,7 +471,7 @@ class ProductionLinter {
     std::string classes;
     for (const ClassIndex cls : written) {
       if (!classes.empty()) classes += ", ";
-      classes += "'" + class_of(cls) + "'";
+      classes.append("'").append(class_of(cls)).append("'");
     }
     report(Code::DeadProduction,
            "production is dead: it writes only " + classes +

@@ -29,9 +29,6 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
-#include "analysis/value_domain.hpp"
 #include "obs/json.hpp"
 #include "ops5/production.hpp"
 #include "rete/network.hpp"
@@ -53,14 +50,6 @@ struct ReteStaticOptions {
   /// Also compile the node_sharing=false network to report sharing factors.
   /// Engine cost extraction turns this off — it needs only the cost vector.
   bool compute_unshared = true;
-  /// Run the value-domain abstract interpreter first and compile the analyzed
-  /// network with its proof-carrying SpecializationPlan. The plan is applied
-  /// only if verify_specialization re-checks its certificate clean; the
-  /// report gains a "specialization" JSON section either way.
-  bool specialize = false;
-  /// Seed/output classes and lattice caps for the value-domain pass; only
-  /// consulted when `specialize` is set.
-  ValueDomainOptions value_domains;
 };
 
 /// One alpha pattern of the shared network.
@@ -137,11 +126,6 @@ struct ReteStaticReport {
   std::vector<ProductionReport> productions;///< ordered by production id
   std::vector<DependencyEdge> edges;        ///< ordered by (from, to, cls)
   std::vector<CalibrationRow> calibration;  ///< empty until calibrate() runs
-  /// Value-domain specialization summary (JSON key "specialization"), present
-  /// only when ReteStaticOptions::specialize ran: the value-domain report's
-  /// JSON plus "verified" (certificate re-check result) and "applied"
-  /// (whether the analyzed network was actually compiled with the plan).
-  std::optional<obs::json::Value> specialization;
 
   /// Alpha sharing factor: unshared / shared node counts (1.0 = no sharing
   /// benefit). 0 when the unshared compilation was skipped.
@@ -167,8 +151,7 @@ struct ReteStaticReport {
 
   /// Deterministic JSON rendering of the whole report. The calibration table
   /// (keys "calibration" and "calibration_correlation") is appended only when
-  /// calibrate() ran, and "specialization" only when the specialization pass
-  /// ran, so pre-existing golden files are byte-stable.
+  /// calibrate() ran, so pre-existing golden files are byte-stable.
   [[nodiscard]] obs::json::Value to_json() const;
 };
 

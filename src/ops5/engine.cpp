@@ -357,7 +357,7 @@ bool Engine::step() {
   if (watch_level_ >= 1) {
     std::string line = std::to_string(counters_.cycles + 1) + ". " +
                        program_->symbols().name(production.name());
-    for (const Wme* w : matched) line += " " + std::to_string(w->timetag());
+    for (const Wme* w : matched) line.append(" ").append(std::to_string(w->timetag()));
     watch_sink_(line);
   }
   const util::WorkUnits rhs_before = counters_.rhs_cost;

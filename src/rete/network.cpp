@@ -174,15 +174,6 @@ struct AlphaPattern {
   std::vector<ConstTest> const_tests;
   std::vector<IntraTest> intra_tests;
   std::vector<DisjTest> disj_tests;
-  /// Specialization (NetworkOptions::plan): parallel to const_tests, nonzero
-  /// marks a test proven always-true and skipped at match time. Empty when
-  /// nothing folds. The full const_tests list stays the sharing identity, so
-  /// folding never merges patterns (which could reorder activations).
-  std::vector<std::uint8_t> const_skip;
-  /// Specialization: a constant test is proven never-true, so the pattern is
-  /// left out of patterns_by_class dispatch. The memory still exists (and
-  /// stays empty forever), which is exactly what negated CEs need.
-  bool dead = false;
   AlphaMemory* memory = nullptr;
   // Topology export (analysis/rete_static): creation-order id and the
   // productions whose CEs compiled into this pattern.
@@ -291,11 +282,6 @@ struct Network::Impl {
   util::WorkCounters& counters;
   util::CostModel costs;
   NetworkOptions options;
-
-  /// Specialization plan in force, or null (options.specialize off / no plan).
-  [[nodiscard]] const SpecializationPlan* spec_plan() const noexcept {
-    return options.specialize ? options.plan.get() : nullptr;
-  }
 
   // Ownership pools. Nodes are created at compile time and never destroyed
   // until the network dies; tokens, records, and join results churn at match
@@ -538,9 +524,7 @@ struct Network::Impl {
   // ------------------------------- matching -------------------------------
 
   [[nodiscard]] bool alpha_passes(const AlphaPattern& p, const WmeRecord& w) {
-    for (std::size_t i = 0; i < p.const_tests.size(); ++i) {
-      if (!p.const_skip.empty() && p.const_skip[i] != 0) continue;  // folded: provably true
-      const ConstTest& t = p.const_tests[i];
+    for (const auto& t : p.const_tests) {
       ++counters.alpha_tests;
       counters.match_cost += costs.alpha_test;
       if (!apply_predicate(t.pred, rec_slot(w, t.slot), t.value)) return false;
@@ -1015,12 +999,10 @@ struct Network::Impl {
     std::sort(disj_tests.begin(), disj_tests.end(),
               [](const DisjTest& a, const DisjTest& b) { return a.slot < b.slot; });
     if (options.node_sharing) {
-      // Over the full pattern arena, not patterns_by_class: dead-specialized
-      // patterns are absent from the dispatch lists but still shareable.
-      for (AlphaPattern& p : patterns) {
-        if (p.cls == cls && p.const_tests == const_tests && p.intra_tests == intra_tests &&
-            p.disj_tests == disj_tests) {
-          return &p;
+      for (AlphaPattern* p : patterns_by_class[cls]) {
+        if (p->const_tests == const_tests && p->intra_tests == intra_tests &&
+            p->disj_tests == disj_tests) {
+          return p;
         }
       }
     }
@@ -1031,26 +1013,7 @@ struct Network::Impl {
     p.disj_tests = std::move(disj_tests);
     p.memory = &alpha_memories.emplace_back();
     p.topo_id = static_cast<std::uint32_t>(patterns.size() - 1);
-    // Specialization: flags depend only on (class, test), so shared lookups
-    // comparing tests alone still find patterns with identical flags.
-    if (const SpecializationPlan* plan = spec_plan()) {
-      const auto has = [&](const std::vector<SpecializationPlan::TestKey>& keys,
-                           const ConstTest& t) {
-        const SpecializationPlan::TestKey key{cls, t.slot, t.pred, t.value};
-        return std::find(keys.begin(), keys.end(), key) != keys.end();
-      };
-      bool any_fold = false;
-      std::vector<std::uint8_t> skip(p.const_tests.size(), 0);
-      for (std::size_t i = 0; i < p.const_tests.size(); ++i) {
-        if (has(plan->dead_tests, p.const_tests[i])) p.dead = true;
-        if (has(plan->fold_tests, p.const_tests[i])) {
-          skip[i] = 1;
-          any_fold = true;
-        }
-      }
-      if (any_fold) p.const_skip = std::move(skip);
-    }
-    if (!p.dead) patterns_by_class[cls].push_back(&p);
+    patterns_by_class[cls].push_back(&p);
     return &p;
   }
 
@@ -1486,13 +1449,8 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   impl_->dummy_store->tokens.push_back(impl_->dummy_token);
 
   const auto& filter = options.production_filter;
-  const SpecializationPlan* plan = impl_->spec_plan();
   for (const auto& p : program.productions()) {
     if (!filter.empty() && !std::binary_search(filter.begin(), filter.end(), p.id())) continue;
-    // A pruned production can never fire (some positive CE or join is
-    // provably unsatisfiable), so skipping its whole chain is invisible to
-    // the listener; only the work disappears.
-    if (plan != nullptr && plan->prunes(p.id())) continue;
     impl_->compile(p, stats_);
   }
 

@@ -17,7 +17,6 @@
 // about 100 instructions"), so the psm match-parallelism model bin-packs
 // exactly these chunk costs.
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -78,54 +77,6 @@ using BindingTable = std::unordered_map<const ops5::Production*, ops5::BindingAn
 /// NetworkOptions::shared_bindings by all networks compiled over it.
 [[nodiscard]] BindingTable analyze_all_bindings(const ops5::Program& program);
 
-/// Compile-time network specialization plan, produced by the value-domain
-/// abstract interpreter (analysis/value_domain) and consumed here. Pure data:
-/// the network trusts the plan blindly, soundness is the producer's proof
-/// obligation (every plan ships with a machine-checkable
-/// SpecializationCertificate on the analysis side).
-///
-/// Three transformation kinds, all firing-log invisible by construction:
-///   - pruned productions are never compiled (their production node could
-///     never activate, so the listener never hears from them either way);
-///   - dead constant tests mark their whole alpha pattern dead: the pattern
-///     and its memory are still built (negated CEs may reference them — an
-///     empty alpha memory means the absence test holds), but the pattern is
-///     dropped from the per-class dispatch list, so WM traffic never charges
-///     its tests;
-///   - foldable constant tests (provably true for every WME the rule base
-///     can produce) are skipped during alpha evaluation. The folded test
-///     stays part of the pattern's sharing identity, so specialization never
-///     merges patterns and cannot perturb activation order.
-struct SpecializationPlan {
-  /// One constant alpha-level test, identified structurally. A key applies to
-  /// every alpha pattern of `cls` containing this exact test, which is sound
-  /// because the justifying domains are per-(class, slot), never per-CE.
-  struct TestKey {
-    ops5::ClassIndex cls = 0;
-    ops5::SlotIndex slot = 0;
-    ops5::Predicate pred = ops5::Predicate::Eq;
-    ops5::Value value;
-    [[nodiscard]] bool operator==(const TestKey& o) const noexcept {
-      return cls == o.cls && slot == o.slot && pred == o.pred && value == o.value;
-    }
-  };
-  /// Production ids that can never fire (dead positive CE or infeasible
-  /// join), sorted ascending.
-  std::vector<std::uint32_t> pruned_productions;
-  /// Constant tests no WME of their class can ever pass.
-  std::vector<TestKey> dead_tests;
-  /// Constant tests every WME of their class is guaranteed to pass.
-  std::vector<TestKey> fold_tests;
-
-  [[nodiscard]] bool prunes(std::uint32_t production_id) const noexcept {
-    return std::binary_search(pruned_productions.begin(), pruned_productions.end(),
-                              production_id);
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    return pruned_productions.empty() && dead_tests.empty() && fold_tests.empty();
-  }
-};
-
 struct NetworkOptions {
   /// Share alpha memories and beta-level nodes between productions with
   /// common prefixes (standard Rete sharing; disable for the ablation bench).
@@ -153,22 +104,13 @@ struct NetworkOptions {
   /// Compile only the productions with these ids (sorted ascending); empty =
   /// all of them. The partition networks of rete::ParallelMatcher use this to
   /// split one frozen program into disjoint sub-networks.
-  std::vector<std::uint32_t> production_filter;
+  std::vector<std::uint32_t> production_filter{};
   /// Precomputed binding analyses for (a superset of) the program's
   /// productions. Not owned: the table must outlive the network. When set,
   /// compilation reuses these entries instead of re-running analyze_bindings
   /// per production per network — the compile-once half of the serve-time
   /// split between the shared rule base and per-session match state.
   const BindingTable* shared_bindings = nullptr;
-  /// Apply `plan` at compile time: skip pruned productions, drop dead alpha
-  /// patterns from dispatch, skip folded constant tests. No-op when false or
-  /// when `plan` is null/empty. Match results and delta logs are identical
-  /// with specialization on or off (the rete_fuzz_test / match_oracle_test
-  /// spec axis enforces byte-equality) — only the work shrinks.
-  bool specialize = false;
-  /// The proof-carrying plan; shared so reconfigure()/ParallelMatcher option
-  /// copies never dangle. Ignored unless `specialize` is set.
-  std::shared_ptr<const SpecializationPlan> plan;
 };
 
 class Network final : public Matcher {

@@ -83,9 +83,8 @@ const char* to_string(PackState state) noexcept {
 }
 
 obs::json::Value ServerStats::to_json() const {
-  obs::json::Object o;
-  o.emplace_back("schema_version", obs::json::Value(obs::kServeRollupSchemaVersion));
-  o.emplace_back("kind", obs::json::Value(std::string("serve_rollup")));
+  obs::json::Object o{{"schema_version", obs::json::Value(obs::kServeRollupSchemaVersion)},
+                      {"kind", obs::json::Value("serve_rollup")}};
   const auto put = [&o](const char* key, std::uint64_t v) {
     o.emplace_back(key, obs::json::Value(v));
   };

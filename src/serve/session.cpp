@@ -72,7 +72,7 @@ EngineContext::EngineContext(std::shared_ptr<const SharedRuleBase> rulebase,
 
 void Session::begin() {
   const SessionOptions& options = context_.options_;
-  context_.prefix_ = "s" + std::to_string(id_) + "| ";
+  context_.prefix_ = std::string("s").append(std::to_string(id_)).append("| ");
   if (options.tracer != nullptr) {
     // One tid lane per session: concurrent sessions never share a lane, so
     // their spans cannot interleave within one track of the timeline.

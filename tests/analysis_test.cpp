@@ -341,7 +341,7 @@ constexpr const char* kToyDecls = R"(
   for (int i = 1; i <= 2; ++i) {
     TaskSpec task;
     task.task_id = static_cast<std::uint64_t>(i - 1);
-    task.label = "t" + std::to_string(i);
+    task.label = std::string("t").append(std::to_string(i));
     task.wmes.push_back(TaskWmeSpec{cls_of(p, "job"), {{id, Value(i)}}});
     spec.tasks.push_back(std::move(task));
   }

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
@@ -126,23 +124,9 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
 
   OracleListener naive_l(p);
   OracleListener rete_l(p);
-  OracleListener spec_l(p);
-  util::WorkCounters naive_c, rete_c, spec_c;
+  util::WorkCounters naive_c, rete_c;
   NaiveMatcher naive(p, naive_l, naive_c);
   Network rete(p, rete_l, rete_c);
-
-  // The same serial network compiled with the value-domain specialization
-  // plan (seeded with the generator's ground truth: only a and b are ever
-  // asserted). Behind its verified certificate, it must be log-invisible.
-  analysis::ValueDomainOptions vdo;
-  vdo.seed_classes = {{*p.class_index(*p.symbols().find("a")),
-                       *p.class_index(*p.symbols().find("b"))}};
-  const analysis::ValueDomainReport vd = analysis::analyze_value_domains(p, vdo);
-  NetworkOptions spec_opt;
-  spec_opt.specialize =
-      vd.converged && analysis::verify_specialization(p, vdo, vd).empty();
-  spec_opt.plan = vd.plan;
-  Network spec(p, spec_l, spec_c, util::CostModel{}, spec_opt);
 
   constexpr std::size_t kThreadCounts[] = {1, 2, 4};
   std::vector<std::unique_ptr<OracleListener>> par_l;
@@ -161,8 +145,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
   std::vector<std::unique_ptr<Wme>> owned;
   std::vector<const Wme*> live;
   ops5::TimeTag tag = 1;
-  std::size_t spec_seen = 0;
-  std::size_t rete_seen = 0;
   for (int step = 0; step < 150; ++step) {
     const bool remove = !live.empty() && rng.next_bool(0.35);
     if (remove) {
@@ -172,7 +154,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       live.pop_back();
       naive.remove_wme(*w);
       rete.remove_wme(*w);
-      spec.remove_wme(*w);
       for (auto& m : par) m->remove_wme(*w);
     } else {
       const auto cls = static_cast<ops5::ClassIndex>(rng.next_below(2));
@@ -184,29 +165,10 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       live.push_back(owned.back().get());
       naive.add_wme(*owned.back());
       rete.add_wme(*owned.back());
-      spec.add_wme(*owned.back());
       for (auto& m : par) m->add_wme(*owned.back());
     }
     const std::set<std::string> oracle = naive_l.support();
     ASSERT_EQ(rete_l.support(), oracle) << "serial Rete diverged at step " << step;
-    // The specialized network must emit the same per-step delta multiset as
-    // the plain one. Sorted before comparing: pruning removes the pruned
-    // productions' prefix tokens from the per-WME swap-erase vectors, which
-    // may legally reorder retractions *within* one step — invisible to the
-    // engine's set-based conflict resolution.
-    {
-      const auto& sl = spec_l.log();
-      const auto& rl = rete_l.log();
-      ASSERT_EQ(sl.size() - spec_seen, rl.size() - rete_seen)
-          << "specialized Rete delta count diverged at step " << step;
-      std::vector<std::string> ss(sl.begin() + static_cast<std::ptrdiff_t>(spec_seen), sl.end());
-      std::vector<std::string> rs(rl.begin() + static_cast<std::ptrdiff_t>(rete_seen), rl.end());
-      std::sort(ss.begin(), ss.end());
-      std::sort(rs.begin(), rs.end());
-      ASSERT_EQ(ss, rs) << "specialized Rete step deltas diverged at step " << step;
-      spec_seen = sl.size();
-      rete_seen = rl.size();
-    }
     for (std::size_t i = 0; i < par.size(); ++i) {
       ASSERT_EQ(par_l[i]->support(), oracle)
           << "ParallelMatcher(" << kThreadCounts[i] << ") diverged at step " << step;
@@ -225,7 +187,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
   // by the engine-level determinism test, which resets between runs).
   naive.clear();
   rete.clear();
-  spec.clear();
   for (auto& m : par) m->clear();
 }
 

@@ -7,23 +7,15 @@
 // (the streaming workload: most operations retract or modify), and
 // quiescent-production (rule bases dominated by productions whose tail CEs
 // can never match, the unlinking fast path) — and replays a random
-// add/retract/modify WME trace through seven matchers at once:
+// add/retract/modify WME trace through six matchers at once:
 //
 //   naive oracle · serial Rete (unlinking on) · serial Rete (unlinking off)
-//   · serial Rete compiled with the value-domain SpecializationPlan
 //   · ParallelMatcher at 1/2/4 threads
 //
 // After every operation the support sets must agree with the oracle, the
 // unlinking-on and unlinking-off serial networks must produce *byte-identical*
 // delta logs (unlinking only skips provably-no-op work, and the shared
-// memory-level indexes make candidate orders bit-equal), the specialized
-// network must emit the identical per-step delta *multiset* (its certificate
-// is verified before the plan is applied; seeds {a, b} match the trace
-// generator, which never asserts class q — so quiescent-family q-tail
-// productions actually get pruned; byte order is not required because
-// pruning removes the pruned productions' prefix tokens from the per-WME
-// swap-erase vectors, legally reshuffling intra-step retraction order that
-// the engine's conflict set never observes), the parallel logs
+// memory-level indexes make candidate orders bit-equal), the parallel logs
 // must be identical across thread counts, and every Rete matcher must pass
 // its structural self-check (position back-pointers, index mirrors, link
 // flags, slot-map rows). Full retraction at the end must leave an empty
@@ -32,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -41,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
@@ -90,7 +80,7 @@ class Listener final : public MatchListener {
   [[nodiscard]] std::string key_of(const ops5::Production& production,
                                    std::span<const Wme* const> wmes) const {
     std::string key = program_.symbols().name(production.name());
-    for (const auto* w : wmes) key += ":" + std::to_string(w->timetag());
+    for (const auto* w : wmes) key.append(":").append(std::to_string(w->timetag()));
     return key;
   }
 
@@ -149,38 +139,20 @@ std::string random_program_source(util::Rng& rng, Family family) {
   return src;
 }
 
-[[nodiscard]] ops5::ClassIndex cls_of(const Program& p, std::string_view name) {
-  return *p.class_index(*p.symbols().find(name));
-}
-
-/// All seven matchers plus their listeners, driven in lockstep.
+/// All six matchers plus their listeners, driven in lockstep.
 struct Harness {
   explicit Harness(const Program& p) : program(p) {
-    matchers.reserve(7);
-    names = {"naive",      "rete",       "rete-nounlink", "rete-spec",
-             "parallel-1", "parallel-2", "parallel-4"};
-    listeners.reserve(7);
-    for (int i = 0; i < 7; ++i) listeners.push_back(std::make_unique<Listener>(p));
-    counters.resize(7);
+    matchers.reserve(6);
+    names = {"naive", "rete", "rete-nounlink", "parallel-1", "parallel-2", "parallel-4"};
+    listeners.reserve(6);
+    for (int i = 0; i < 6; ++i) listeners.push_back(std::make_unique<Listener>(p));
+    counters.resize(6);
     matchers.push_back(std::make_unique<NaiveMatcher>(p, *listeners[0], counters[0]));
     matchers.push_back(std::make_unique<Network>(p, *listeners[1], counters[1]));
     NetworkOptions no_unlink;
     no_unlink.unlinking = false;
     matchers.push_back(std::make_unique<Network>(p, *listeners[2], counters[2],
                                                  util::CostModel{}, no_unlink));
-    // Specialized axis: the value-domain pass runs with the trace generator's
-    // ground truth (only classes a and b are ever asserted), and the plan is
-    // applied only behind its own verified certificate — exactly the
-    // rete_static wiring. An empty plan degrades to the plain network.
-    analysis::ValueDomainOptions vdo;
-    vdo.seed_classes = {{cls_of(p, "a"), cls_of(p, "b")}};
-    const analysis::ValueDomainReport vd = analysis::analyze_value_domains(p, vdo);
-    NetworkOptions spec;
-    spec.specialize = vd.converged &&
-                      analysis::verify_specialization(p, vdo, vd).empty();
-    spec.plan = vd.plan;
-    matchers.push_back(std::make_unique<Network>(p, *listeners[3], counters[3],
-                                                 util::CostModel{}, spec));
     for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       ParallelMatcherOptions options;
       options.threads = t;
@@ -208,30 +180,9 @@ struct Harness {
     // candidate orders bit-equal.
     ASSERT_EQ(listeners[1]->log(), listeners[2]->log())
         << "unlinking changed the serial delta log at step " << step;
-    // The proof-carrying specialization must be semantically invisible:
-    // every step emits the identical delta multiset. Byte order is checked
-    // per step after sorting — pruning legitimately perturbs intra-step
-    // retraction order (absent prefix tokens shift the swap-erase vectors)
-    // without the engine's set-based conflict resolution ever noticing.
-    {
-      const auto& spec = listeners[3]->log();
-      const auto& rete = listeners[1]->log();
-      ASSERT_EQ(spec.size() - spec_checked, rete.size() - rete_checked)
-          << "specialization changed the delta count at step " << step;
-      std::vector<std::string> spec_step(spec.begin() + static_cast<std::ptrdiff_t>(spec_checked),
-                                         spec.end());
-      std::vector<std::string> rete_step(rete.begin() + static_cast<std::ptrdiff_t>(rete_checked),
-                                         rete.end());
-      std::sort(spec_step.begin(), spec_step.end());
-      std::sort(rete_step.begin(), rete_step.end());
-      ASSERT_EQ(spec_step, rete_step)
-          << "specialization changed the step delta multiset at step " << step;
-      spec_checked = spec.size();
-      rete_checked = rete.size();
-    }
     // Canonical-merge determinism: identical logs for every thread count.
-    for (std::size_t i = 5; i < matchers.size(); ++i) {
-      ASSERT_EQ(listeners[i]->log(), listeners[4]->log())
+    for (std::size_t i = 4; i < matchers.size(); ++i) {
+      ASSERT_EQ(listeners[i]->log(), listeners[3]->log())
           << names[i] << " delta order diverged from parallel-1 at step " << step;
     }
   }
@@ -246,8 +197,6 @@ struct Harness {
   }
 
   const Program& program;
-  std::size_t spec_checked = 0;  ///< delta-log watermark of the spec axis
-  std::size_t rete_checked = 0;  ///< matching watermark of the plain serial axis
   std::vector<std::string> names;
   std::vector<std::unique_ptr<Listener>> listeners;
   std::vector<util::WorkCounters> counters;

@@ -176,7 +176,9 @@ TEST(ReteStatic, DependencyEdgesFollowWritesToReads) {
   // edge from prune, and nobody else writes item.
   EXPECT_TRUE(has_edge(id_of("prune"), id_of("join01"), "item", false));
   for (const auto& e : edges) {
-    if (e.class_name == "item") EXPECT_EQ(e.from, id_of("prune"));
+    if (e.class_name == "item") {
+      EXPECT_EQ(e.from, id_of("prune"));
+    }
   }
   // Edges are sorted by (from, to, cls, negated) with no duplicates.
   for (std::size_t i = 1; i < edges.size(); ++i) {
@@ -477,7 +479,7 @@ class GaugeListener final : public rete::MatchListener {
   [[nodiscard]] std::string key_of(const ops5::Production& production,
                                    std::span<const ops5::Wme* const> wmes) const {
     std::string key = std::string(program_.symbols().name(production.name()));
-    for (const auto* w : wmes) key += ":" + std::to_string(w->timetag());
+    for (const auto* w : wmes) key.append(":").append(std::to_string(w->timetag()));
     return key;
   }
 

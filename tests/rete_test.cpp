@@ -45,7 +45,7 @@ class RecordingListener final : public MatchListener {
   [[nodiscard]] std::string key_of(const ops5::Production& production,
                                    std::span<const Wme* const> wmes) const {
     std::string key = program_.symbols().name(production.name());
-    for (const auto* w : wmes) key += ":" + std::to_string(w->timetag());
+    for (const auto* w : wmes) key.append(":").append(std::to_string(w->timetag()));
     return key;
   }
 
@@ -519,7 +519,7 @@ class SetListener final : public MatchListener {
   [[nodiscard]] std::string key_of(const ops5::Production& production,
                                    std::span<const Wme* const> wmes) const {
     std::string key = program_.symbols().name(production.name());
-    for (const auto* w : wmes) key += ":" + std::to_string(w->timetag());
+    for (const auto* w : wmes) key.append(":").append(std::to_string(w->timetag()));
     return key;
   }
   const Program& program_;

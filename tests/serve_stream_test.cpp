@@ -392,7 +392,9 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
     ASSERT_TRUE(tick.admitted());
     // Wait the first tick out so the stream is pinned to its worker (and
     // its pack) before the swap below races the rest.
-    if (t == 0) ASSERT_EQ(tick.report.get().status, SceneStatus::Completed);
+    if (t == 0) {
+      ASSERT_EQ(tick.report.get().status, SceneStatus::Completed);
+    }
     if (t == 1) {
       // Identical rules under a new version: the gate passes it, activation
       // repoints NEW dequeues only.
