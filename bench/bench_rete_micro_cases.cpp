@@ -2,7 +2,8 @@
 // cost must stay flat in working-memory size (the O(1) slot/back-pointer
 // retraction), quiescent productions must cost ~nothing under node unlinking,
 // and the LCC Level-2 trace must never match more expensively with unlinking
-// on than off. Unlike bench_rete_micro (a google-benchmark binary for
+// on than off, and restoring a long stream's base working memory by rebuild
+// must cost a fraction of replaying its journal. Unlike bench_rete_micro (a google-benchmark binary for
 // host-time curves), these cases emit BENCH_rete_micro.json and *fail* the
 // harness when a flatness ratio regresses — they are the CI gate.
 
@@ -17,6 +18,7 @@
 #include "ops5/parser.hpp"
 #include "rete/network.hpp"
 #include "spam/constraints.hpp"
+#include "spam/decomposition.hpp"
 #include "spam/programs.hpp"
 
 namespace psmsys::bench {
@@ -299,6 +301,99 @@ PSMSYS_BENCH_CASE(lcc_l2_trace, "rete_micro",
      << util::Table::fmt(double(runs[1].wu) / double(runs[0].wu), 3) << "x\n";
   if (runs[0].wu > runs[1].wu) {
     ctx.fail("unlinking increased model match cost on the L2 trace");
+  }
+}
+
+PSMSYS_BENCH_CASE(context_reset, "rete_micro",
+                  "Context reset: teardown, clear and both stream-close restores, ns per WME") {
+  auto& os = ctx.out();
+
+  // The serve tier's stream context: the SF Level-2 base WM, then every
+  // Level-2 task delivered as one stream under the undo journal (the
+  // serve_streams workload's stream, ~34k resident WMEs at close).
+  const auto scene = spam::generate_scene(spam::sf_config());
+  const spam::Decomposition d =
+      spam::lcc_decomposition(2, scene, spam::best_fragments(spam::run_rtf(scene, 3).fragments));
+  const auto make_context = [&d] {
+    auto engine = d.factory.make_engine();
+    d.factory.base_init(*engine);
+    return engine;
+  };
+  const auto fill = [&d](ops5::Engine& engine) {
+    for (const auto& task : d.tasks) task.inject(engine);
+    (void)engine.run();
+  };
+  using Clock = std::chrono::steady_clock;
+  const auto ns_since = [](Clock::time_point start) {
+    return double(std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
+                      .count());
+  };
+
+  const int reps = ctx.quick() ? 2 : 5;
+  double teardown = std::numeric_limits<double>::max();
+  double clear = teardown;
+  double replay = teardown;
+  double rebuild = teardown;
+  std::size_t base_wmes = 0;
+  std::size_t stream_wmes = 0;
+  bool rebuilt = true;
+  for (int r = 0; r < reps; ++r) {
+    auto engine = make_context();
+    base_wmes = engine->wm_size();
+
+    // Replay-restore: a checkpoint at the journal's start always replays.
+    engine->begin_undo_log();
+    const ops5::Engine::UndoCheckpoint start = engine->undo_checkpoint();
+    fill(*engine);
+    stream_wmes = engine->wm_size();
+    auto t0 = Clock::now();
+    engine->rollback_to_checkpoint(start);
+    replay = std::min(replay, ns_since(t0) / double(stream_wmes));
+
+    // Rebuild-restore: the whole-journal rollback takes the rebuild route
+    // because the journal is far longer than the base WM.
+    fill(*engine);
+    const std::uint64_t removed = engine->counters().wmes_removed;
+    t0 = Clock::now();
+    engine->rollback_undo_log();
+    rebuild = std::min(rebuild, ns_since(t0) / double(stream_wmes));
+    rebuilt = rebuilt && engine->counters().wmes_removed == removed;
+
+    // Engine::reset(): clear() of the matcher, conflict set and WM.
+    fill(*engine);
+    t0 = Clock::now();
+    engine->reset();
+    clear = std::min(clear, ns_since(t0) / double(stream_wmes));
+
+    // Teardown: destroying a full context.
+    d.factory.base_init(*engine);
+    fill(*engine);
+    t0 = Clock::now();
+    engine.reset();
+    teardown = std::min(teardown, ns_since(t0) / double(stream_wmes));
+  }
+
+  util::Table table({"operation", "host ns/WME"});
+  table.add_row({"teardown (destroy engine)", util::Table::fmt(teardown, 1)});
+  table.add_row({"clear (Engine::reset)", util::Table::fmt(clear, 1)});
+  table.add_row({"replay-restore", util::Table::fmt(replay, 1)});
+  table.add_row({"rebuild-restore", util::Table::fmt(rebuild, 1)});
+  table.print(os, "SF Level-2 stream context (" + std::to_string(base_wmes) + " base WMEs, " +
+                      std::to_string(stream_wmes) + " at close), best of " +
+                      std::to_string(reps));
+  ctx.table("context_reset", table);
+  ctx.metric("teardown_ns_per_wme", teardown);
+  ctx.metric("clear_ns_per_wme", clear);
+  ctx.metric("replay_restore_ns_per_wme", replay);
+  ctx.metric("rebuild_restore_ns_per_wme", rebuild);
+  const double ratio = rebuild / replay;
+  ctx.metric("rebuild_over_replay", ratio);
+  os << "\nrebuild-restore / replay-restore: " << util::Table::fmt(ratio, 3)
+     << "x (gate: 0.25x)\n";
+  if (!rebuilt) ctx.fail("the long stream's rollback replayed its journal instead of rebuilding");
+  if (ratio > 0.25) {
+    ctx.fail("rebuild-restore costs " + util::Table::fmt(ratio, 3) +
+             "x the journal replay (gate: 0.25x)");
   }
 }
 

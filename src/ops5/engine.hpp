@@ -18,6 +18,7 @@
 #include "rete/network.hpp"
 #include "rete/parallel.hpp"
 #include "util/counters.hpp"
+#include "util/slab.hpp"
 
 namespace psmsys::obs {
 class Tracer;
@@ -145,11 +146,13 @@ class Engine final : private rete::MatchListener {
   // ----------------------------- undo log ---------------------------------
   // Abort recovery for fault-tolerant task execution: journal every WM
   // mutation from begin_undo_log() on, then either commit (drop the
-  // journal) or roll back. Rollback replays the journal in reverse through
-  // the Rete network and restores removed WMEs *with their original
-  // timetags* (and rewinds the timetag counter), so conflict-resolution
-  // recency — and therefore every later firing — is bit-identical to a run
-  // in which the aborted attempt never happened.
+  // journal) or roll back. Rollback restores the base working memory — the
+  // WM at begin_undo_log() — *with its original timetags* (and rewinds the
+  // timetag counter), and gives every instantiation that existed at
+  // begin_undo_log() back its creation order and fired flag, so
+  // conflict-resolution recency and refraction — and therefore every later
+  // firing — are bit-identical to a run in which the journaled work never
+  // happened.
 
   /// Start journaling. Rejects nesting.
   void begin_undo_log();
@@ -157,8 +160,12 @@ class Engine final : private rete::MatchListener {
   /// Keep the attempt's effects; discard the journal.
   void commit_undo_log() noexcept;
 
-  /// Undo every journaled mutation (reverse order), rewind timetags, clear
-  /// any halt raised during the attempt, and drop pending match chunks.
+  /// Restore the base working memory, rewind timetags, clear any halt raised
+  /// during the attempt, and drop pending match chunks. Two exact ways,
+  /// picked by size: when the journal holds more entries than the base WM
+  /// has WMEs, the match state is cleared and the base WMEs are re-added in
+  /// timetag order (O(base WM)); otherwise the journal is replayed in
+  /// reverse (O(journal)).
   void rollback_undo_log();
 
   [[nodiscard]] bool undo_log_active() const noexcept { return undo_active_; }
@@ -287,25 +294,41 @@ class Engine final : private rete::MatchListener {
   /// Reverse-replay journal entries [down_to, end) and truncate to down_to.
   /// Callers own undo_active_/watch suppression and the mark restoration.
   void replay_undo_tail(std::size_t down_to);
+  /// The other rollback route: clear all match state and re-add the base
+  /// WMEs (timetag < the journal mark) in timetag order.
+  void rebuild_base_wm();
+  [[nodiscard]] Wme& new_wme(ClassIndex cls, std::span<const Value> slots, TimeTag tag);
+  void free_wme(Wme& wme) noexcept;
 
   util::WorkCounters counters_;
+  /// WMEs and their slot values (one arena block each). Declared before
+  /// everything that points at a WME, so it is released last.
+  util::SlabArena wm_arena_;
   ConflictSet conflict_set_{options_.strategy};
   std::unique_ptr<rete::Matcher> matcher_;
   rete::ParallelMatcher* parallel_ = nullptr;  // matcher_, when parallel
   std::vector<CycleRecord> cycles_;
 
-  std::unordered_map<TimeTag, std::unique_ptr<Wme>> wm_;
+  /// Live WMEs by timetag, all in wm_arena_ (released with it).
+  using WmIndex = std::unordered_map<TimeTag, Wme*, std::hash<TimeTag>, std::equal_to<TimeTag>,
+                                     util::ArenaAllocator<std::pair<const TimeTag, Wme*>>>;
+  util::ArenaHeld<WmIndex> wm_{0, std::hash<TimeTag>{}, std::equal_to<TimeTag>{},
+                               WmIndex::allocator_type(wm_arena_)};
+  /// Empty the working memory in bulk: release the arena, start a new index.
+  void release_wm() noexcept;
   TimeTag next_timetag_ = 1;
   bool halted_ = false;
 
   struct UndoEntry {
-    bool was_add = false;          ///< true: WME added; false: WME removed
     TimeTag timetag = 0;
-    ClassIndex cls = 0;            ///< only for removals
-    std::vector<Value> slots;      ///< only for removals
+    /// Null for an addition. For a removal, the removed WME itself: it stays
+    /// in wm_arena_ until the journal is committed or rolled back, so a
+    /// restore puts the same object back.
+    Wme* removed = nullptr;
   };
   bool undo_active_ = false;
   std::vector<UndoEntry> undo_log_;
+  std::size_t undo_mark_wm_size_ = 0;  ///< WMEs in the base WM
   TimeTag undo_mark_timetag_ = 0;
   bool undo_mark_halted_ = false;
   std::uint64_t undo_mark_cycles_ = 0;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,23 +42,42 @@ class WmeClass {
 using TimeTag = std::uint64_t;
 
 /// A working memory element: class + slot values + timetag. Instances are
-/// owned by the Engine's WorkingMemory and referenced (never owned) by the
+/// owned by the Engine's working memory and referenced (never owned) by the
 /// matcher and by conflict-set instantiations.
 class Wme {
  public:
+  /// Owns its slot values (WMEs made outside an engine: tests, benches,
+  /// matchers driven directly).
   Wme(ClassIndex cls, Symbol class_name, std::vector<Value> slots, TimeTag tag)
-      : slots_(std::move(slots)), tag_(tag), class_(cls), class_name_(class_name) {}
+      : owned_(std::move(slots)), slots_(owned_), tag_(tag), class_(cls),
+        class_name_(class_name) {}
+
+  struct Borrowed {};
+  /// Views slot values owned elsewhere; they must outlive the WME. The engine
+  /// keeps WMEs and their slots in its working-memory arena, where a WME's
+  /// destructor never runs (it would have nothing to release).
+  Wme(Borrowed, ClassIndex cls, Symbol class_name, std::span<const Value> slots,
+      TimeTag tag) noexcept
+      : slots_(slots), tag_(tag), class_(cls), class_name_(class_name) {}
+
+  // slots_ may view owned_, so a copy or move would dangle.
+  Wme(const Wme&) = delete;
+  Wme& operator=(const Wme&) = delete;
 
   [[nodiscard]] ClassIndex class_index() const noexcept { return class_; }
   [[nodiscard]] Symbol class_name() const noexcept { return class_name_; }
   [[nodiscard]] TimeTag timetag() const noexcept { return tag_; }
   [[nodiscard]] std::span<const Value> slots() const noexcept { return slots_; }
-  [[nodiscard]] const Value& slot(SlotIndex i) const { return slots_.at(i); }
+  [[nodiscard]] const Value& slot(SlotIndex i) const {
+    if (i >= slots_.size()) throw std::out_of_range("Wme::slot: index out of range");
+    return slots_[i];
+  }
 
   [[nodiscard]] std::string to_string(const SymbolTable& symbols, const WmeClass& cls) const;
 
  private:
-  std::vector<Value> slots_;
+  std::vector<Value> owned_;
+  std::span<const Value> slots_;
   TimeTag tag_;
   ClassIndex class_;
   Symbol class_name_;

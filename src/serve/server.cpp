@@ -667,8 +667,21 @@ ServerStats Server::drain() {
 }
 
 ServerStats Server::stats() const {
-  const util::MutexLock lock(mu_);
-  return stats_locked();
+  // Copy the latency samples under mu_ and summarize (sort) them after
+  // releasing it: the samples cover the process lifetime, and sorting them
+  // under the lock stalled every worker for the length of an admin `stats`.
+  ServerStats s;
+  std::vector<std::int64_t> latencies;
+  std::vector<std::int64_t> tick_latencies;
+  {
+    const util::MutexLock lock(mu_);
+    s = stats_locked();
+    latencies = latencies_ns_;
+    tick_latencies = tick_latencies_ns_;
+  }
+  s.latency = obs::summarize_latency_ns(latencies);
+  s.streams.tick_latency = obs::summarize_latency_ns(tick_latencies);
+  return s;
 }
 
 ServerStats Server::stats_locked() const {
@@ -687,7 +700,6 @@ ServerStats Server::stats_locked() const {
   s.scenes_per_sec = s.wall_ns > 0 ? static_cast<double>(s.completed) /
                                          (static_cast<double>(s.wall_ns) * 1e-9)
                                    : 0.0;
-  s.latency = obs::summarize_latency_ns(latencies_ns_);
   s.engine = engine_;
   s.engine.retries = retries_;
   s.engine.wall_ns = s.wall_ns;
@@ -704,7 +716,6 @@ ServerStats Server::stats_locked() const {
   s.streams.tick_retries = tick_retries_;
   s.streams.wmes_streamed = wmes_streamed_;
   s.streams.peak_resident_wm = peak_resident_wm_;
-  s.streams.tick_latency = obs::summarize_latency_ns(tick_latencies_ns_);
   s.streams.ticks_per_sec = s.wall_ns > 0 ? static_cast<double>(s.streams.ticks_completed) /
                                                 (static_cast<double>(s.wall_ns) * 1e-9)
                                           : 0.0;

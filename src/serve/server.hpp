@@ -300,6 +300,8 @@ class Server {
   SubmitTickResult stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job);
   void stream_close(const std::shared_ptr<StreamState>& stream);
   void watchdog_loop();
+  /// Everything in stats() except the two latency summaries, which stats()
+  /// computes after releasing mu_.
   [[nodiscard]] ServerStats stats_locked() const PSMSYS_REQUIRES(mu_);
   [[nodiscard]] PackRecord* find_pack_locked(std::uint64_t id) PSMSYS_REQUIRES(mu_);
   [[nodiscard]] const PackRecord* find_pack_locked(std::uint64_t id) const

@@ -75,6 +75,11 @@ class Listener final : public MatchListener {
   }
   [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
   [[nodiscard]] bool empty() const noexcept { return matches_.empty(); }
+  /// Forget everything (the matcher was cleared, which reports nothing).
+  void reset() {
+    matches_.clear();
+    log_.clear();
+  }
 
  private:
   [[nodiscard]] std::string key_of(const ops5::Production& production,
@@ -221,6 +226,68 @@ TraceConfig config_for(int seed) {
   return cfg;
 }
 
+/// One random add/retract/modify WME trace driven through a harness, with
+/// the oracle, delta-log and (every 10 steps) invariant checks after each
+/// operation. The trace's WMEs stay owned here.
+class Trace {
+ public:
+  Trace(Harness& h, const Program& p, util::Rng& rng, const TraceConfig& cfg,
+        ops5::TimeTag first_tag = 1)
+      : h_(h), p_(p), rng_(rng), cfg_(cfg), tag_(first_tag) {}
+
+  /// `checked` = false drives the operations without the per-step checks
+  /// (the naive oracle recomputes every match, so long traces check once).
+  void run(int steps, bool checked = true) {
+    for (int step = 0; step < steps; ++step) {
+      const bool warm = live_.size() >= 4;
+      if (warm && rng_.next_bool(cfg_.modify_bias)) {
+        // Modify = retract + re-assert with mutated slots (OPS5 semantics).
+        h_.remove(retract_random());
+        h_.add(make_wme());
+      } else if (warm && rng_.next_bool(cfg_.remove_bias)) {
+        h_.remove(retract_random());
+      } else {
+        h_.add(make_wme());
+      }
+      if (!checked) continue;
+      h_.check_step(step);
+      if (step % 10 == 0) h_.check_invariants(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  const Wme& make_wme() {
+    const auto cls = static_cast<ops5::ClassIndex>(rng_.next_below(2));
+    std::vector<Value> slots{Value(static_cast<double>(rng_.next_int(0, 2))),
+                             Value(static_cast<double>(rng_.next_int(0, 4))),
+                             Value(static_cast<double>(rng_.next_int(0, 2)))};
+    const auto cls_sym = *p_.symbols().find(cls == 0 ? "a" : "b");
+    owned_.push_back(std::make_unique<Wme>(cls, cls_sym, std::move(slots), tag_++));
+    live_.push_back(owned_.back().get());
+    return *owned_.back();
+  }
+
+  const Wme& retract_random() {
+    const auto idx = rng_.next_below(live_.size());
+    const Wme* w = live_[idx];
+    live_[idx] = live_.back();
+    live_.pop_back();
+    return *w;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
+  [[nodiscard]] ops5::TimeTag next_tag() const noexcept { return tag_; }
+
+ private:
+  Harness& h_;
+  const Program& p_;
+  util::Rng& rng_;
+  TraceConfig cfg_;
+  ops5::TimeTag tag_;
+  std::vector<std::unique_ptr<Wme>> owned_;
+  std::vector<const Wme*> live_;
+};
+
 class ReteFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
@@ -291,6 +358,40 @@ TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   h.check_invariants(1020);
+}
+
+// Post-clear reuse on every trace: a long trace fills the network (no
+// drain, checked once at its end), clear() empties it in bulk, and the seed's own trace then runs on
+// the cleared network under the same per-step oracle, delta-log and
+// invariant checks as on a fresh one.
+TEST_P(ReteFuzzTest, TraceRerunsOnNetworkClearedAfterLargeRun) {
+  const int seed = GetParam();
+  const TraceConfig cfg = config_for(seed);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 48271 + 11);
+  const std::string src = random_program_source(rng, cfg.family);
+  SCOPED_TRACE(src);
+  const Program p = ops5::parse_program(src);
+  Harness h(p);
+
+  util::Rng large_rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+  Trace large(h, p, large_rng, cfg);
+  large.run(200, /*checked=*/false);
+  h.check_step(200);
+  h.check_invariants(200);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  for (auto& m : h.matchers) m->clear();
+  for (auto& l : h.listeners) l->reset();
+  for (std::size_t i = 1; i < h.matchers.size(); ++i) {
+    EXPECT_EQ(h.matchers[i]->live_tokens(), 0u) << h.names[i] << " kept tokens past clear()";
+  }
+  h.check_invariants(-1);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  Trace again(h, p, rng, cfg, large.next_tag());
+  again.run(110);
+  if (::testing::Test::HasFatalFailure()) return;
+  h.check_invariants(110);
 }
 
 // 54 seeded traces, 18 per stress family (seed % 3 picks the family).

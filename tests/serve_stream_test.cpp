@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -319,6 +320,114 @@ TEST(ServeStream, RecycledContextIsByteIdenticalToFresh) {
   ASSERT_EQ(again.status, SceneStatus::Completed);
   EXPECT_EQ(without_session_prefix(again.firing_log),
             without_session_prefix(baseline.firing_log));
+}
+
+// ---------------------------------------------------------------------------
+// Stream close restores the context's base WM one of two ways: it replays a
+// journal no longer than the base WM and rebuilds the match state from the
+// base WMEs otherwise. Either way the next stream on the context must match
+// a fresh context: same firing log, same WM (timetags and slot values), and
+// a structurally clean network.
+// ---------------------------------------------------------------------------
+
+// `greet` matches base WMEs only, so it is pending before every stream and
+// fires on its first tick; `take` removes a base WME and `bump` modifies one
+// each tick, so the journal holds removals of base WMEs as well.
+constexpr const char* kBaseStreamSrc = R"(
+(literalize base k v)
+(literalize tick n)
+(literalize poke n)
+(literalize out k)
+(literalize hello v)
+(p greet (base ^k 0 ^v <v>) --> (make hello ^v <v>))
+(p take (tick ^n <n>) (base ^k <n>) --> (remove 2) (make out ^k <n>))
+(p bump (poke ^n <n>) (base ^k <n> ^v <n>) --> (modify 2 ^v (compute <n> + 100)))
+)";
+
+constexpr int kBaseStreamWmes = 24;
+
+SceneJob base_tick(int n) {
+  SceneJob job;
+  job.label = "tick";
+  job.inject = [n](ops5::Engine& engine) {
+    engine.make_wme("tick", {{"n", ops5::Value(double(n))}});
+    engine.make_wme("poke", {{"n", ops5::Value(double(n + 12))}});
+  };
+  return job;
+}
+
+std::vector<std::string> wm_rows(const ops5::Engine& engine) {
+  const ops5::Program& program = engine.program();
+  std::vector<std::pair<ops5::TimeTag, std::string>> rows;
+  for (ops5::ClassIndex c = 0; c < program.class_count(); ++c) {
+    for (const ops5::Wme* w : engine.wmes_of_class(c)) {
+      rows.emplace_back(w->timetag(), std::to_string(w->timetag()) + ":" +
+                                          w->to_string(program.symbols(), program.wme_class(c)));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  std::vector<std::string> out;
+  for (auto& row : rows) out.push_back(std::move(row.second));
+  return out;
+}
+
+/// Runs ticks 1..count as one stream on `context`; returns the firing log.
+/// `closed_removals`, when given, receives the WMEs retracted by the close.
+std::string run_base_stream(EngineContext& context, SceneId id, int count,
+                            std::uint64_t* closed_removals = nullptr) {
+  Session session(id, context);
+  session.begin();
+  std::string log;
+  for (int n = 1; n <= count; ++n) {
+    const Session::TickOutcome tick = session.run_tick(base_tick(n), {});
+    EXPECT_EQ(tick.status, SceneStatus::Completed);
+    log += tick.firing_log;
+  }
+  const std::uint64_t removed_before = context.engine().counters().wmes_removed;
+  session.finish();
+  if (closed_removals != nullptr) {
+    *closed_removals = context.engine().counters().wmes_removed - removed_before;
+  }
+  return log;
+}
+
+void expect_close_matches_fresh(int warmup_ticks, bool expect_rebuild) {
+  auto program = std::make_shared<const ops5::Program>(ops5::parse_program(kBaseStreamSrc));
+  const auto rb = SharedRuleBase::compile(std::move(program), nullptr, {});
+  const auto base_init = [](ops5::Engine& engine) {
+    for (int k = 0; k < kBaseStreamWmes; ++k) {
+      engine.make_wme("base", {{"k", ops5::Value(double(k))}, {"v", ops5::Value(double(k))}});
+    }
+  };
+  SessionOptions options;
+  options.capture_firing_log = true;
+  EngineContext used(rb, base_init, options);
+  EngineContext fresh(rb, base_init, options);
+
+  std::uint64_t removed = 0;
+  const std::string warmup_log = run_base_stream(used, 1, warmup_ticks, &removed);
+  EXPECT_NE(warmup_log.find("greet"), std::string::npos);
+  // The route the close took: a replay retracts the journal's additions,
+  // the rebuild retracts nothing.
+  EXPECT_EQ(removed == 0, expect_rebuild) << removed << " WMEs retracted at close";
+  EXPECT_EQ(wm_rows(used.engine()), wm_rows(fresh.engine()));
+  const auto violations = used.engine().network().check_invariants();
+  EXPECT_TRUE(violations.empty()) << violations.front();
+
+  const std::string used_log = run_base_stream(used, 2, 5);
+  const std::string fresh_log = run_base_stream(fresh, 2, 5);
+  EXPECT_EQ(used_log, fresh_log);
+  EXPECT_NE(used_log.find("greet"), std::string::npos);
+  EXPECT_EQ(wm_rows(used.engine()), wm_rows(fresh.engine()));
+  EXPECT_TRUE(used.engine().network().check_invariants().empty());
+}
+
+TEST(ServeStreamClose, ShortStreamReplaysJournalToFreshContext) {
+  expect_close_matches_fresh(2, /*expect_rebuild=*/false);
+}
+
+TEST(ServeStreamClose, LongStreamRebuildsBaseToFreshContext) {
+  expect_close_matches_fresh(9, /*expect_rebuild=*/true);
 }
 
 // ---------------------------------------------------------------------------
