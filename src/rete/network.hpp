@@ -157,6 +157,12 @@ class Network final : public Matcher {
   /// human-readable violation descriptions, empty when consistent.
   [[nodiscard]] std::vector<std::string> check_invariants() const override;
 
+  /// Storage addresses of a live WME's match record, followed by those of
+  /// the tokens that hold the WME; empty when the WME is not in the network.
+  /// Lets tests check that freed records and tokens stay poisoned under
+  /// AddressSanitizer, so a stale pointer into recycled storage faults.
+  [[nodiscard]] std::vector<const void*> storage_of(const ops5::Wme& wme) const;
+
   /// Compile-time network shape with per-node sharing (user) information.
   /// Deterministic for a fixed frozen program and options.
   [[nodiscard]] NetworkTopology topology() const;
