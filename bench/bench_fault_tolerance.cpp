@@ -93,7 +93,7 @@ PSMSYS_BENCH_CASE(robust_executor, "faults",
 
   psm::RunOptions options;
   options.task_processes = 4;
-  options.robustness.max_attempts = 6;
+  options.attempts.max_attempts = 6;
   const auto clean = psm::run(d.factory, d.tasks, options);
   options.injector = &injector;
   const auto faulty = psm::run(d.factory, d.tasks, options);

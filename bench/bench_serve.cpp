@@ -66,7 +66,7 @@ constexpr const char* kServeSrc = R"(
   options.workers = workers;
   options.queue_capacity = clients + workers;
   options.session.injector = injector;
-  options.session.cycle_deadline = cycle_deadline;
+  options.session.attempts.cycle_deadline = cycle_deadline;
   serve::Server server(rb, options);
 
   std::vector<std::thread> pool;

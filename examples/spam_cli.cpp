@@ -40,7 +40,7 @@ struct Options {
   std::size_t sample_every = 1;
   bool inject = false;  ///< run the robust threaded executor with faults
   psm::FaultConfig faults;
-  psm::RobustnessPolicy robustness;
+  psm::AttemptPolicy attempts;
 };
 
 void print_help() {
@@ -130,9 +130,9 @@ void print_help() {
     } else if (arg == "--inject-seed" || arg == "--seed") {
       o.faults.seed = std::stoull(next());
     } else if (arg == "--max-attempts") {
-      o.robustness.max_attempts = std::stoul(next());
+      o.attempts.max_attempts = std::stoul(next());
     } else if (arg == "--deadline") {
-      o.robustness.cycle_deadline = std::stoull(next());
+      o.attempts.cycle_deadline = std::stoull(next());
     } else if (arg == "--help" || arg == "-h") {
       print_help();
       std::exit(0);
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
     const psm::FaultInjector injector(options.faults);
     psm::RunOptions run_options;
     run_options.task_processes = options.procs;
-    run_options.robustness = options.robustness;
+    run_options.attempts = options.attempts;
     run_options.injector = &injector;
     run_options.match_threads = options.match_threads;
     if (tracing) run_options.tracer = &tracer;
@@ -217,8 +217,7 @@ int main(int argc, char** argv) {
               << "  completed   " << report.completed_ids.size() << "/" << report.status.size()
               << "\n  quarantined " << report.quarantined_ids.size() << "\n  abandoned   "
               << report.abandoned_ids.size() << "\n  retries     " << report.retries
-              << " (backoff sleeps " << report.backoff_sleeps << ")\n  requeues    "
-              << report.requeues << "\n  dead workers";
+              << "\n  requeues    " << report.requeues << "\n  dead workers";
     if (report.dead_workers.empty()) std::cout << " none";
     for (const auto w : report.dead_workers) std::cout << ' ' << w;
     std::cout << '\n';

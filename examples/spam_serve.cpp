@@ -216,11 +216,11 @@ int main(int argc, char** argv) {
     e.set_user_data(&scene);  // phase externals reach the polygons through this
     if (init) init(e);
   };
-  server_options.session.cycle_deadline = options.deadline;
+  server_options.session.attempts.cycle_deadline = options.deadline;
   if (options.storm > 0.0) {
     server_options.session.injector = &injector;
-    if (server_options.session.cycle_deadline == 0) {
-      server_options.session.cycle_deadline = 100000;  // contain injected overruns
+    if (server_options.session.attempts.cycle_deadline == 0) {
+      server_options.session.attempts.cycle_deadline = 100000;  // contain injected overruns
     }
   }
   if (options.watch) {

@@ -83,7 +83,7 @@ void ConflictSet::remove(const Production& production, std::span<const Wme* cons
     throw std::logic_error("removing instantiation not present in conflict set");
   }
   Instantiation* inst = it->second;
-  if (journaling_ && inst->seq < journal_seq_) save(*inst);
+  if (inst->seq < record_below_) save(*inst);
   if (!inst->fired) unfired_->erase(inst);
   entries_->erase(it);
   arena_.deallocate(inst, block_bytes(inst->wmes.size()));
@@ -92,7 +92,7 @@ void ConflictSet::remove(const Production& production, std::span<const Wme* cons
 const Instantiation* ConflictSet::select() {
   if (unfired_->empty()) return nullptr;
   Instantiation* best = *unfired_->begin();
-  if (journaling_ && best->seq < journal_seq_) save(*best);
+  if (best->seq < record_below_) save(*best);
   unfired_->erase(unfired_->begin());
   best->fired = true;
   return best;
@@ -116,14 +116,14 @@ void ConflictSet::clear() {
 // ---------------------------------------------------------------------------
 
 void ConflictSet::begin_journal() {
-  journaling_ = true;
   journal_seq_ = next_seq_;
+  record_below_ = journal_seq_;
   saved_.clear();
   saved_tags_.clear();
 }
 
 void ConflictSet::end_journal() noexcept {
-  journaling_ = false;
+  record_below_ = 0;
   saved_.clear();
   saved_tags_.clear();
 }
@@ -140,18 +140,35 @@ void ConflictSet::journal_survivors() {
 }
 
 void ConflictSet::restore_journal(const std::function<const Wme*(TimeTag)>& wme_of) {
+  restore(JournalMark{0, journal_seq_, 0}, wme_of);
+  end_journal();
+}
+
+ConflictSet::JournalMark ConflictSet::mark() noexcept {
+  const JournalMark m{saved_.size(), next_seq_, record_below_};
+  record_below_ = next_seq_;
+  return m;
+}
+
+void ConflictSet::restore(const JournalMark& m,
+                          const std::function<const Wme*(TimeTag)>& wme_of) {
+  if (m.record > saved_.size()) throw std::logic_error("conflict-set mark is ahead of the journal");
   // Later records are overridden by earlier ones: the first record of an
-  // instantiation holds its journal-open state. Survivors, recorded last,
+  // instantiation holds its state at the mark. Survivors, recorded last,
   // never collide with a removal record (a removed instantiation that came
   // back during the journal has a new seq), only with a firing record,
-  // which must win.
-  std::vector<Instantiation*> target(saved_.size());
+  // which must win. Records of instantiations born after the mark (made
+  // under an inner mark that was never released) are skipped.
+  const std::size_t n = saved_.size() - m.record;
+  std::vector<Instantiation*> target(n, nullptr);
   std::vector<const Wme*> wmes;
-  for (std::size_t r = 0; r < saved_.size(); ++r) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = m.record + i;
+    if (saved_[r].seq >= m.seq) continue;
     const std::size_t end = r + 1 < saved_.size() ? saved_[r + 1].first_tag : saved_tags_.size();
     wmes.clear();
-    for (std::size_t i = saved_[r].first_tag; i < end; ++i) {
-      const Wme* w = wme_of(saved_tags_[i]);
+    for (std::size_t t = saved_[r].first_tag; t < end; ++t) {
+      const Wme* w = wme_of(saved_tags_[t]);
       if (w == nullptr) throw std::logic_error("conflict-set journal names a WME not restored");
       wmes.push_back(w);
     }
@@ -159,27 +176,57 @@ void ConflictSet::restore_journal(const std::function<const Wme*(TimeTag)>& wme_
     if (it == entries_->end()) {
       throw std::logic_error("conflict-set journal names an instantiation not restored");
     }
-    target[r] = it->second;
+    target[i] = it->second;
   }
   // Take every target out of the ordered index while its seq is still the
   // one it was filed under, then assign, then re-enter the unfired ones once
   // every seq is final (a transient seq collision would make two
   // instantiations equivalent to the index).
   std::vector<Instantiation*> distinct = target;
+  std::erase(distinct, nullptr);
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
   for (Instantiation* inst : distinct) {
     if (!inst->fired) unfired_->erase(inst);
   }
-  for (std::size_t r = saved_.size(); r-- > 0;) {
-    target[r]->seq = saved_[r].seq;
-    target[r]->fired = saved_[r].fired;
+  for (std::size_t i = n; i-- > 0;) {
+    if (target[i] == nullptr) continue;
+    target[i]->seq = saved_[m.record + i].seq;
+    target[i]->fired = saved_[m.record + i].fired;
   }
   for (Instantiation* inst : distinct) {
     if (!inst->fired) unfired_->insert(inst);
   }
-  next_seq_ = journal_seq_;
-  end_journal();
+  next_seq_ = m.seq;
+  if (n != 0) saved_tags_.resize(saved_[m.record].first_tag);
+  saved_.resize(m.record);
+  record_below_ = m.seq;
+}
+
+void ConflictSet::release(const JournalMark& m) noexcept {
+  record_below_ = m.outer_below;
+  // Compact in place, in order: only records of instantiations the
+  // enclosing scope also records stay (all of them, when the mark was
+  // taken where that scope began).
+  if (m.seq <= m.outer_below) return;
+  std::size_t kept = m.record;
+  std::size_t tags = m.record < saved_.size() ? saved_[m.record].first_tag : saved_tags_.size();
+  for (std::size_t r = m.record; r < saved_.size(); ++r) {
+    if (saved_[r].seq >= m.outer_below) continue;
+    const std::size_t first = saved_[r].first_tag;
+    const std::size_t end = r + 1 < saved_.size() ? saved_[r + 1].first_tag : saved_tags_.size();
+    std::copy(saved_tags_.begin() + static_cast<std::ptrdiff_t>(first),
+              saved_tags_.begin() + static_cast<std::ptrdiff_t>(end),
+              saved_tags_.begin() + static_cast<std::ptrdiff_t>(tags));
+    saved_[kept] = saved_[r];
+    saved_[kept].first_tag = tags;
+    tags += end - first;
+    ++kept;
+  }
+  if (kept < saved_.size()) {
+    saved_.resize(kept);
+    saved_tags_.resize(tags);
+  }
 }
 
 }  // namespace psmsys::ops5

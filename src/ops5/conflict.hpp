@@ -88,15 +88,26 @@ class ConflictSet {
   // the engine can put both back once working memory is restored — whether
   // restoring replayed the WM journal (removed instantiations come back with
   // new seqs, fired ones stay fired) or rebuilt the match state from the
-  // base WMEs (every instantiation comes back new).
+  // base WMEs (every instantiation comes back new). A mark scopes the same
+  // recording to a position inside the journal (a stream tick's
+  // checkpoint), so the set can be restored to the mark alone.
+
+  /// A position in the open journal. Marks nest: while one is the innermost
+  /// open mark, changes to every instantiation that existed when it was
+  /// taken are recorded.
+  struct JournalMark {
+    std::size_t record = 0;         ///< records before the mark
+    std::uint64_t seq = 0;          ///< sequence number at the mark
+    std::uint64_t outer_below = 0;  ///< the enclosing scope's recording bound
+  };
 
   /// Open the journal at the current sequence number.
   void begin_journal();
   /// Close the journal and drop its records.
   void end_journal() noexcept;
-  /// Stop recording; the records stay for restore_journal(). Call before
-  /// working memory is restored, whose own changes must not be recorded.
-  void seal_journal() noexcept { journaling_ = false; }
+  /// Stop recording; the records stay for a restore. Call before working
+  /// memory is restored, whose own changes must not be recorded.
+  void seal_journal() noexcept { record_below_ = 0; }
   /// Record every instantiation that existed when the journal opened and is
   /// still present, as if it were about to change — call before clear() when
   /// the match state will be rebuilt.
@@ -106,6 +117,16 @@ class ConflictSet {
   /// sequence number, and close the journal. `wme_of` maps a timetag to the
   /// live WME carrying it.
   void restore_journal(const std::function<const Wme*(TimeTag)>& wme_of);
+
+  /// Open a mark at the current position of the open journal.
+  [[nodiscard]] JournalMark mark() noexcept;
+  /// After working memory is back to its state at `m`: the same restore,
+  /// scoped to the changes since `m`. The mark stays open.
+  void restore(const JournalMark& m, const std::function<const Wme*(TimeTag)>& wme_of);
+  /// Keep every change since `m` and close it: drop the records that only a
+  /// restore to `m` needed, so a long stream of kept ticks does not grow
+  /// the journal.
+  void release(const JournalMark& m) noexcept;
 
  private:
   struct Key {
@@ -151,8 +172,8 @@ class ConflictSet {
   util::ArenaHeld<Unfired> unfired_;
   std::uint64_t next_seq_ = 0;
 
-  bool journaling_ = false;
-  std::uint64_t journal_seq_ = 0;  ///< seqs below this existed at journal open
+  std::uint64_t journal_seq_ = 0;   ///< seqs below this existed at journal open
+  std::uint64_t record_below_ = 0;  ///< changes to seqs below this are recorded
   std::vector<Saved> saved_;
   std::vector<TimeTag> saved_tags_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -419,9 +420,12 @@ bool Engine::step() {
 RunResult Engine::run() { return run(0); }
 
 RunResult Engine::run(std::uint64_t cycle_budget) {
+  // Saturating: a budget past the end of the clock means no budget.
+  const std::uint64_t headroom = std::numeric_limits<std::uint64_t>::max() - counters_.cycles;
   const std::uint64_t deadline =
-      cycle_budget == 0 ? options_.max_cycles
-                        : std::min(options_.max_cycles, counters_.cycles + cycle_budget);
+      cycle_budget == 0
+          ? options_.max_cycles
+          : std::min(options_.max_cycles, counters_.cycles + std::min(cycle_budget, headroom));
   RunResult result;
   while (true) {
     if (counters_.cycles >= deadline) {
@@ -559,10 +563,7 @@ void Engine::rollback_undo_log() {
   } else {
     replay_undo_tail(0);
   }
-  conflict_set_.restore_journal([this](TimeTag tag) -> const Wme* {
-    const auto it = wm_->find(tag);
-    return it == wm_->end() ? nullptr : it->second;
-  });
+  conflict_set_.restore_journal([this](TimeTag tag) { return live_wme(tag); });
   next_timetag_ = undo_mark_timetag_;
   halted_ = undo_mark_halted_;
   // The cycle counter is the engine's observable logical clock: it numbers
@@ -577,13 +578,19 @@ void Engine::rollback_undo_log() {
   (void)matcher_->take_chunks();
 }
 
-Engine::UndoCheckpoint Engine::undo_checkpoint() const {
+const Wme* Engine::live_wme(TimeTag tag) const {
+  const auto it = wm_->find(tag);
+  return it == wm_->end() ? nullptr : it->second;
+}
+
+Engine::UndoCheckpoint Engine::undo_checkpoint() {
   if (!undo_active_) throw std::logic_error("undo checkpoint requires an active undo log");
   UndoCheckpoint cp;
   cp.log_size = undo_log_.size();
   cp.timetag = next_timetag_;
   cp.halted = halted_;
   cp.cycles = counters_.cycles;
+  cp.conflicts = conflict_set_.mark();
   return cp;
 }
 
@@ -593,13 +600,16 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
     throw std::logic_error("undo checkpoint is ahead of the journal (stale checkpoint?)");
   }
   // Same discipline as the whole-log rollback — journaling off, watch
-  // silenced, original timetags restored — but only for the tail after the
-  // checkpoint, and the log stays active for the rest of the stream.
+  // silenced, original timetags and conflict-set state restored — but only
+  // for the tail after the checkpoint, and the log stays active for the
+  // rest of the stream.
   undo_active_ = false;
   const int saved_watch = watch_level_;
   watch_level_ = 0;
 
+  conflict_set_.seal_journal();
   replay_undo_tail(cp.log_size);
+  conflict_set_.restore(cp.conflicts, [this](TimeTag tag) { return live_wme(tag); });
   next_timetag_ = cp.timetag;
   halted_ = cp.halted;
   counters_.cycles = cp.cycles;

@@ -175,26 +175,36 @@ class Engine final : private rete::MatchListener {
   /// log active and earlier entries intact. This is the per-tick recovery
   /// unit of streaming sessions — a failed tick rolls back to its own
   /// checkpoint while the stream's accumulated working memory survives;
-  /// whole-scene recovery stays rollback_undo_log(). Checkpoints are plain
-  /// positions, not resources: taking one costs nothing and none need to be
-  /// "released".
+  /// whole-scene recovery stays rollback_undo_log(). A checkpoint is open
+  /// until release_checkpoint(); checkpoints nest.
   struct UndoCheckpoint {
     std::size_t log_size = 0;     ///< journal entries at checkpoint time
     TimeTag timetag = 1;          ///< next_timetag_ to rewind to
     bool halted = false;
     std::uint64_t cycles = 0;     ///< logical clock to rewind to
+    ConflictSet::JournalMark conflicts;
   };
 
-  /// Snapshot the current undo-log position. Requires an active log.
-  [[nodiscard]] UndoCheckpoint undo_checkpoint() const;
+  /// Open a checkpoint at the current undo-log position. Requires an active
+  /// log.
+  [[nodiscard]] UndoCheckpoint undo_checkpoint();
 
   /// Undo every mutation journaled after `cp` (reverse order), truncate the
   /// journal back to it, and rewind timetags/halt/cycle clock to the
   /// checkpoint — with the same bit-identity guarantee as rollback_undo_log:
-  /// recency ordering and the logical clock are exactly as if the rolled-back
-  /// tail never ran. The undo log STAYS ACTIVE. A checkpoint taken after
-  /// `cp` is invalidated by this call and must not be replayed to.
+  /// working memory, recency ordering, the conflict set's creation order and
+  /// fired flags, and the logical clock are exactly as if the rolled-back
+  /// tail never ran. The undo log and `cp` STAY OPEN, so the same checkpoint
+  /// can be rolled back to again. A checkpoint taken after `cp` is
+  /// invalidated by this call and must not be replayed to.
   void rollback_to_checkpoint(const UndoCheckpoint& cp);
+
+  /// Keep everything done since the open checkpoint `cp` and close it: the
+  /// conflict-set records only a rollback to `cp` needed are dropped, so a
+  /// stream of kept ticks journals no more than one long attempt would.
+  void release_checkpoint(const UndoCheckpoint& cp) noexcept {
+    conflict_set_.release(cp.conflicts);
+  }
 
   // ------------------------------ inspection ------------------------------
 
@@ -206,6 +216,7 @@ class Engine final : private rete::MatchListener {
   /// every matcher is still a compiled Rete network underneath.
   [[nodiscard]] const rete::Matcher& network() const noexcept { return *matcher_; }
   [[nodiscard]] std::size_t conflict_set_size() const noexcept { return conflict_set_.size(); }
+  [[nodiscard]] const ConflictSet& conflict_set() const noexcept { return conflict_set_; }
 
   // --------------------------- match parallelism ---------------------------
 
@@ -297,6 +308,8 @@ class Engine final : private rete::MatchListener {
   /// The other rollback route: clear all match state and re-add the base
   /// WMEs (timetag < the journal mark) in timetag order.
   void rebuild_base_wm();
+  /// The live WME carrying `tag`, or null (conflict-set restores).
+  [[nodiscard]] const Wme* live_wme(TimeTag tag) const;
   [[nodiscard]] Wme& new_wme(ClassIndex cls, std::span<const Value> slots, TimeTag tag);
   void free_wme(Wme& wme) noexcept;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -37,12 +36,11 @@ void validate_tasks(const std::vector<Task>& tasks, std::size_t task_processes) 
   }
 }
 
-/// Blocking work coordinator. Unlike TaskQueue's non-blocking pop, a robust
-/// worker must not exit while another worker still holds a task: if that
-/// worker dies, its task is requeued and somebody has to be around to drain
-/// it. pop() therefore blocks while work is in flight and returns nullptr
-/// only when every task is resolved (or no live worker can ever resolve the
-/// remainder).
+/// The central task queue (Figure 5), blocking: a robust worker must not
+/// exit while another worker still holds a task — if that worker dies, its
+/// task is requeued and somebody has to be around to drain it. pop()
+/// therefore blocks while work is in flight and returns nullptr only when
+/// every task is resolved (or no live worker can ever resolve the remainder).
 class Coordinator {
  public:
   Coordinator(const std::vector<Task>& tasks, std::size_t workers)
@@ -101,41 +99,6 @@ class Coordinator {
 
 enum class Disposition : std::uint8_t { Pending, Completed, Quarantined };
 
-[[nodiscard]] std::uint64_t grown_deadline(const RobustnessPolicy& policy,
-                                           std::uint32_t attempt) {
-  if (policy.cycle_deadline == 0) return 0;
-  const double grown = static_cast<double>(policy.cycle_deadline) *
-                       std::pow(std::max(policy.deadline_growth, 1.0),
-                                static_cast<double>(attempt - 1));
-  return static_cast<std::uint64_t>(grown);
-}
-
-[[nodiscard]] std::chrono::microseconds backoff_delay(const RobustnessPolicy& policy,
-                                                      std::uint32_t retry) {
-  if (policy.backoff_base.count() <= 0) return std::chrono::microseconds{0};
-  const double us = static_cast<double>(policy.backoff_base.count()) *
-                    std::pow(std::max(policy.backoff_multiplier, 1.0),
-                             static_cast<double>(retry - 1));
-  const auto capped =
-      std::min(us, static_cast<double>(policy.backoff_cap.count()));
-  return std::chrono::microseconds{static_cast<std::int64_t>(capped)};
-}
-
-/// Cycles an injected mid-task crash executes before dying: enough to leave
-/// partial working-memory state behind, so recovery genuinely depends on
-/// the engine's rollback.
-constexpr std::uint64_t kCrashAfterCycles = 2;
-
-const char* attempt_result_name(AttemptResult r) {
-  switch (r) {
-    case AttemptResult::Completed: return "completed";
-    case AttemptResult::Fault: return "fault";
-    case AttemptResult::DeadlineExceeded: return "deadline_exceeded";
-    case AttemptResult::WorkerDied: return "worker_died";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 WorkerFailure::WorkerFailure(std::vector<std::exception_ptr> worker_errors)
@@ -168,12 +131,11 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   validate_tasks(tasks, task_processes);
   const std::size_t n_tasks = tasks.size();
   const bool strict = options.strict;
-  const RobustnessPolicy& policy = options.robustness;
   // Fault injection models recoverable faults; strict mode has no recovery.
   const FaultInjector* injector = strict ? nullptr : options.injector;
   obs::Tracer* tracer = options.tracer;
-  const std::size_t max_attempts =
-      strict ? 1 : std::max<std::size_t>(policy.max_attempts, 1);
+  AttemptPolicy policy = options.attempts;
+  if (strict) policy.max_attempts = 1;
   // K TLP workers × M match threads, with M clamped by the thread budget so
   // the composition never oversubscribes beyond what the caller allowed.
   const std::size_t match_threads = options.effective_match_threads();
@@ -195,7 +157,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   std::mutex report_mutex;  // guards report bookkeeping + state + attempt_count
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> requeues{0};
-  std::atomic<std::uint64_t> backoff_sleeps{0};
   // Run-wide maxima of the per-engine OBS gauges (0 when compiled out).
   std::atomic<std::uint64_t> peak_conflict_set{0};
   std::atomic<std::uint64_t> peak_live_tokens{0};
@@ -273,112 +234,69 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
             break;
           }
 
-          // Attempt loop: local retries with backoff until completion or
-          // quarantine. Every failed attempt is rolled back, so the engine
-          // state a successful attempt sees is bit-identical to a fault-free
-          // run's.
-          while (true) {
-            std::uint32_t attempt = 0;
-            {
-              const std::lock_guard<std::mutex> lock(report_mutex);
-              attempt = ++attempt_count[id];
-            }
-
-            TaskAttempt record{p, attempt, AttemptResult::Completed, {}};
-            bool ok = false;
-            std::exception_ptr error;
-            const auto attempt_begin = tracer != nullptr
-                                           ? obs::Tracer::Clock::now()
-                                           : obs::Tracer::Clock::time_point{};
-            std::uint64_t attempt_cost = 0;
-            std::uint64_t attempt_cycles = 0;
-            try {
-              if (injector != nullptr && injector->fails(id, attempt)) {
-                // Mid-task crash: really execute a couple of cycles, roll
-                // back, then fail.
-                runner->abort_after(*task, kCrashAfterCycles);
-                throw InjectedTaskFault(id, attempt);
-              }
-              const std::uint64_t deadline =
-                  (injector != nullptr && injector->overruns(id, attempt))
-                      ? 1  // livelock: the budget machinery must cut it off
-                      : grown_deadline(policy, attempt);
-              TaskMeasurement m = runner->run_guarded(*task, deadline);
-              attempt_cost = m.counters.total_cost();
-              attempt_cycles = m.counters.cycles;
-              {
-                const std::lock_guard<std::mutex> lock(report_mutex);
-                report.measurements[id] = std::move(m);
-                report.executed_by[id] = p;
-                ++report.tasks_per_process[p];
-                state[id] = Disposition::Completed;
-                report.attempts[id].push_back(record);
-              }
-              my_results.push_back(id);
-              ok = true;
-            } catch (const TaskDeadlineExceeded& e) {
-              record.result = AttemptResult::DeadlineExceeded;
-              record.error = e.what();
-              error = std::current_exception();
-            } catch (const std::exception& e) {
-              record.result = AttemptResult::Fault;
-              record.error = e.what();
-              error = std::current_exception();
-            } catch (...) {
-              record.result = AttemptResult::Fault;
-              record.error = "non-standard exception";
-              error = std::current_exception();
-            }
-
+          // Every failed attempt is rolled back, so the engine state a
+          // successful attempt sees is bit-identical to a fault-free run's.
+          // Attempt numbers continue across requeues of a lost result.
+          std::uint32_t attempts_before = 0;
+          {
+            const std::lock_guard<std::mutex> lock(report_mutex);
+            attempts_before = attempt_count[id];
+          }
+          auto attempt_begin = tracer != nullptr ? obs::Tracer::Clock::now()
+                                                 : obs::Tracer::Clock::time_point{};
+          const auto on_attempt = [&](const AttemptOutcome& attempt) {
             if (tracer != nullptr) {
               // One span per attempt, on the worker's lane, whatever the
               // outcome — the per-worker timeline is the point of the trace.
+              const bool ok = attempt.result == AttemptResult::Completed;
               obs::json::Object args;
               args.emplace_back("task", obs::json::Value(id));
               if (!task->label.empty()) {
                 args.emplace_back("label", obs::json::Value(task->label));
               }
-              args.emplace_back("attempt", obs::json::Value(attempt));
-              args.emplace_back("result",
-                                obs::json::Value(attempt_result_name(record.result)));
-              args.emplace_back("cost_wu", obs::json::Value(attempt_cost));
-              args.emplace_back("cycles", obs::json::Value(attempt_cycles));
+              args.emplace_back("attempt", obs::json::Value(attempt.attempts));
+              args.emplace_back("result", obs::json::Value(to_string(attempt.result)));
+              args.emplace_back("cost_wu", obs::json::Value(
+                                               ok ? attempt.measurement.counters.total_cost() : 0));
+              args.emplace_back("cycles",
+                                obs::json::Value(ok ? attempt.measurement.counters.cycles : 0));
+              const auto attempt_end = obs::Tracer::Clock::now();
               tracer->record_span(
                   task->label.empty() ? ("task " + std::to_string(id)) : task->label,
-                  "task", attempt_begin, obs::Tracer::Clock::now(),
-                  static_cast<std::uint32_t>(p), std::move(args));
+                  "task", attempt_begin, attempt_end, static_cast<std::uint32_t>(p),
+                  std::move(args));
+              attempt_begin = attempt_end;
             }
 #if PSMSYS_OBS
             // Engine gauges reset per task (peak_conflict_set) or survive
             // (rete token peak); sampling after every attempt keeps the
             // run-wide maxima exact either way.
             fold_peak(peak_conflict_set, runner->engine().peak_conflict_set());
-            fold_peak(peak_live_tokens,
-                      runner->engine().network().peak_live_tokens());
+            fold_peak(peak_live_tokens, runner->engine().network().peak_live_tokens());
 #endif
-            if (ok) break;
-
-            bool quarantined = false;
-            {
-              const std::lock_guard<std::mutex> lock(report_mutex);
-              report.attempts[id].push_back(record);
-              if (attempt >= max_attempts) {
-                state[id] = Disposition::Quarantined;
-                report.errors.push_back(error);
-                quarantined = true;
-              }
+            const std::lock_guard<std::mutex> lock(report_mutex);
+            attempt_count[id] = attempt.attempts;
+            report.attempts[id].push_back({p, attempt.attempts, attempt.result, attempt.error});
+          };
+          AttemptOutcome outcome = run_attempts(*runner, *task, policy, injector, {},
+                                                on_attempt, attempts_before);
+          retries.fetch_add(outcome.attempts - attempts_before - 1, std::memory_order_relaxed);
+          {
+            const std::lock_guard<std::mutex> lock(report_mutex);
+            if (outcome.result == AttemptResult::Completed) {
+              report.measurements[id] = std::move(outcome.measurement);
+              report.executed_by[id] = p;
+              ++report.tasks_per_process[p];
+              state[id] = Disposition::Completed;
+            } else {
+              state[id] = Disposition::Quarantined;
+              report.errors.push_back(outcome.exception);
             }
-            if (quarantined) {
-              strict_failed = strict;
-              break;
-            }
-
-            retries.fetch_add(1, std::memory_order_relaxed);
-            const auto delay = backoff_delay(policy, attempt);
-            if (delay.count() > 0) {
-              backoff_sleeps.fetch_add(1, std::memory_order_relaxed);
-              std::this_thread::sleep_for(delay);
-            }
+          }
+          if (outcome.result == AttemptResult::Completed) {
+            my_results.push_back(id);
+          } else {
+            strict_failed = strict;
           }
 
           coordinator.finish(id, /*requeue_it=*/false);
@@ -415,7 +333,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
 
   report.retries = retries.load();
   report.requeues = requeues.load();
-  report.backoff_sleeps = backoff_sleeps.load();
   report.status.resize(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
     switch (state[i]) {

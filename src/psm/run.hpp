@@ -50,30 +50,7 @@ class WorkerFailure : public std::runtime_error {
   std::vector<std::exception_ptr> errors;
 };
 
-struct RobustnessPolicy {
-  /// Attempts per task before it is quarantined (>= 1).
-  std::size_t max_attempts = 3;
-  /// Sleep before retry k (1-based) is backoff_base * backoff_multiplier^(k-1),
-  /// capped at backoff_cap. Zero base disables sleeping (tests).
-  std::chrono::microseconds backoff_base{0};
-  double backoff_multiplier = 2.0;
-  std::chrono::microseconds backoff_cap{100'000};
-  /// Per-attempt recognize-act cycle budget (0 = unlimited): the deadline
-  /// that cuts off livelocked tasks via the engine's cycle-limit machinery.
-  std::uint64_t cycle_deadline = 0;
-  /// The deadline grows by this factor per retry, so a task that was merely
-  /// slow (not livelocked) can still complete before quarantine.
-  double deadline_growth = 2.0;
-};
-
-/// Why a task attempt ended.
-enum class AttemptResult : std::uint8_t {
-  Completed,         ///< ran to quiescence; measurement recorded
-  Fault,             ///< the attempt threw (injected or real); rolled back
-  DeadlineExceeded,  ///< cut off by the cycle deadline; rolled back
-  WorkerDied,        ///< the executing process died; results lost, task requeued
-};
-
+/// One attempt in a task's history (RunReport::attempts).
 struct TaskAttempt {
   std::size_t process = 0;
   std::uint32_t number = 0;  ///< 1-based attempt number
@@ -107,7 +84,6 @@ struct RunReport {
   std::vector<std::size_t> dead_workers;       ///< processes that died mid-run
   std::uint64_t retries = 0;                   ///< attempts beyond each task's first
   std::uint64_t requeues = 0;                  ///< strandings recovered from dead workers
-  std::uint64_t backoff_sleeps = 0;
   /// Errors from quarantined tasks' final attempts (diagnosable, aggregated).
   std::vector<std::exception_ptr> errors;
 
@@ -130,7 +106,9 @@ struct RunOptions {
   /// degradation is reported in RunResult::report.
   bool strict = false;
 
-  RobustnessPolicy robustness{};
+  /// Attempts per task and the first attempt's cycle deadline (robust
+  /// mode; strict mode makes one attempt under the same deadline).
+  AttemptPolicy attempts{};
 
   /// Deterministic fault injection (robust mode only); may be null. Not
   /// owned; must outlive the run.

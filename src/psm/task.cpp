@@ -1,6 +1,7 @@
 #include "psm/task.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace psmsys::psm {
@@ -59,24 +60,37 @@ TaskMeasurement TaskRunner::run(const Task& task) {
   return measure_from(task, before);
 }
 
-void TaskRunner::rollback() {
-  engine_->rollback_undo_log();
-  cycle_offset_ = engine_->cycle_records().size();
+TaskRunner::Scope TaskRunner::open_scope() {
+  if (stream_active_) return engine_->undo_checkpoint();
+  engine_->begin_undo_log();
+  return std::nullopt;
+}
+
+void TaskRunner::close_scope(const Scope& scope, bool keep) {
+  if (scope) {
+    if (!keep) engine_->rollback_to_checkpoint(*scope);
+    engine_->release_checkpoint(*scope);
+  } else if (keep) {
+    engine_->commit_undo_log();
+  } else {
+    engine_->rollback_undo_log();
+  }
+  if (!keep) cycle_offset_ = engine_->cycle_records().size();
 }
 
 // Runs the injected task to quiescence, in cancellation-polled slices when
 // asked to. Returns true when the cycle deadline (or the engine's own
-// max_cycles ceiling) cut the run off; throws TaskAborted when `cancelled`
-// turns true between slices. The caller owns the undo log.
-bool TaskRunner::run_sliced(std::uint64_t cycle_deadline, const std::function<bool()>& cancelled,
-                            std::uint64_t cancel_check_every, std::uint64_t task_id) {
-  if (!cancelled || cancel_check_every == 0) {
+// max_cycles ceiling) cut the run off; throws TaskAborted when the predicate
+// turns true between slices. The caller owns the rollback scope.
+bool TaskRunner::run_sliced(const AttemptLimits& limits, std::uint64_t task_id) {
+  const std::uint64_t cycle_deadline = limits.cycle_deadline;
+  if (limits.cancelled == nullptr || limits.poll_every == 0) {
     return engine_->run(cycle_deadline).cycle_limited;
   }
   const std::uint64_t start = engine_->counters().cycles;
   while (true) {
-    if (cancelled()) throw TaskAborted(task_id);
-    std::uint64_t slice = cancel_check_every;
+    if ((*limits.cancelled)()) throw TaskAborted(task_id);
+    std::uint64_t slice = limits.poll_every;
     if (cycle_deadline != 0) {
       const std::uint64_t used = engine_->counters().cycles - start;
       if (used >= cycle_deadline) return true;
@@ -90,110 +104,42 @@ bool TaskRunner::run_sliced(std::uint64_t cycle_deadline, const std::function<bo
   }
 }
 
-TaskMeasurement TaskRunner::run_guarded(const Task& task, std::uint64_t cycle_deadline,
-                                        const std::function<bool()>& cancelled,
-                                        std::uint64_t cancel_check_every) {
+TaskMeasurement TaskRunner::attempt(const Task& task, const AttemptLimits& limits) {
   const util::WorkCounters before = engine_->counters();
-  engine_->begin_undo_log();
+  const Scope scope = open_scope();
   bool deadline_hit = false;
   try {
     task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
+    deadline_hit = run_sliced(limits, task.id);
+    if (!deadline_hit && limits.collect != nullptr) (*limits.collect)(*engine_);
   } catch (...) {
-    rollback();
+    close_scope(scope, /*keep=*/false);
     throw;
   }
   if (deadline_hit) {
-    rollback();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
+    close_scope(scope, /*keep=*/false);
+    throw TaskDeadlineExceeded(task.id, limits.cycle_deadline);
   }
-  engine_->commit_undo_log();
+  close_scope(scope, /*keep=*/true);
   return measure_from(task, before);
 }
 
-TaskMeasurement TaskRunner::run_isolated(const Task& task, std::uint64_t cycle_deadline,
-                                         const std::function<bool()>& cancelled,
-                                         std::uint64_t cancel_check_every,
-                                         const std::function<void(ops5::Engine&)>& collect) {
-  const util::WorkCounters before = engine_->counters();
-  engine_->begin_undo_log();
-  bool deadline_hit = false;
-  try {
-    task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
-    if (!deadline_hit && collect) collect(*engine_);
-  } catch (...) {
-    rollback();
-    throw;
-  }
-  if (deadline_hit) {
-    rollback();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
-  }
-  TaskMeasurement m = measure_from(task, before);
-  rollback();
-  return m;
-}
-
-void TaskRunner::abort_after(const Task& task, std::uint64_t cycles) {
-  engine_->begin_undo_log();
+void TaskRunner::crash(const Task& task, std::uint64_t cycles) {
+  const Scope scope = open_scope();
   try {
     task.inject(*engine_);
     (void)engine_->run(cycles == 0 ? 1 : cycles);
   } catch (...) {
-    engine_->rollback_undo_log();
-    cycle_offset_ = engine_->cycle_records().size();
+    close_scope(scope, /*keep=*/false);
     throw;
   }
-  engine_->rollback_undo_log();
-  cycle_offset_ = engine_->cycle_records().size();
+  close_scope(scope, /*keep=*/false);
 }
 
 void TaskRunner::begin_stream() {
   if (stream_active_) throw std::logic_error("stream already active");
   engine_->begin_undo_log();
   stream_active_ = true;
-}
-
-TaskMeasurement TaskRunner::run_tick(const Task& task, std::uint64_t cycle_deadline,
-                                     const std::function<bool()>& cancelled,
-                                     std::uint64_t cancel_check_every,
-                                     const std::function<void(ops5::Engine&)>& collect) {
-  if (!stream_active_) throw std::logic_error("run_tick outside an active stream");
-  const util::WorkCounters before = engine_->counters();
-  const ops5::Engine::UndoCheckpoint cp = engine_->undo_checkpoint();
-  bool deadline_hit = false;
-  try {
-    task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
-    if (!deadline_hit && collect) collect(*engine_);
-  } catch (...) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw;
-  }
-  if (deadline_hit) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
-  }
-  // Success: the tick's WM effects stay resident for later ticks.
-  return measure_from(task, before);
-}
-
-void TaskRunner::abort_tick_after(const Task& task, std::uint64_t cycles) {
-  if (!stream_active_) throw std::logic_error("abort_tick_after outside an active stream");
-  const ops5::Engine::UndoCheckpoint cp = engine_->undo_checkpoint();
-  try {
-    task.inject(*engine_);
-    (void)engine_->run(cycles == 0 ? 1 : cycles);
-  } catch (...) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw;
-  }
-  engine_->rollback_to_checkpoint(cp);
-  cycle_offset_ = engine_->cycle_records().size();
 }
 
 void TaskRunner::end_stream() {
@@ -203,6 +149,88 @@ void TaskRunner::end_stream() {
   cycle_offset_ = engine_->cycle_records().size();
 }
 
-bool TaskRunner::stream_active() const noexcept { return stream_active_; }
+// ---------------------------------------------------------------------------
+// Attempt loop
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Cycles an injected mid-task crash executes before dying: enough to leave
+/// partial working-memory state behind, so recovery genuinely depends on
+/// the rollback.
+constexpr std::uint64_t kCrashAfterCycles = 2;
+
+/// Fill in a failed attempt's result and error text from what it threw.
+void describe_failure(AttemptOutcome& out) {
+  try {
+    std::rethrow_exception(out.exception);
+  } catch (const TaskAborted& e) {
+    out.result = AttemptResult::Aborted;
+    out.error = e.what();
+  } catch (const TaskDeadlineExceeded& e) {
+    out.result = AttemptResult::DeadlineExceeded;
+    out.error = e.what();
+  } catch (const std::exception& e) {
+    out.result = AttemptResult::Fault;
+    out.error = e.what();
+  } catch (...) {
+    out.result = AttemptResult::Fault;
+    out.error = "non-standard exception";
+  }
+}
+
+}  // namespace
+
+std::uint64_t attempt_deadline(std::uint64_t first, std::uint32_t attempt) noexcept {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (first == 0) return 0;
+  const std::uint32_t doublings = attempt == 0 ? 0 : attempt - 1;
+  if (doublings >= 64 || first > (kMax >> doublings)) return kMax;
+  return first << doublings;
+}
+
+const char* to_string(AttemptResult result) noexcept {
+  switch (result) {
+    case AttemptResult::Completed: return "completed";
+    case AttemptResult::Fault: return "fault";
+    case AttemptResult::DeadlineExceeded: return "deadline_exceeded";
+    case AttemptResult::Aborted: return "aborted";
+    case AttemptResult::WorkerDied: return "worker_died";
+  }
+  return "unknown";
+}
+
+AttemptOutcome run_attempts(TaskRunner& runner, const Task& task, const AttemptPolicy& policy,
+                            const FaultInjector* injector, AttemptLimits limits,
+                            const AttemptHook& on_attempt, std::uint32_t attempts_before) {
+  const std::size_t max_attempts = std::max<std::size_t>(policy.max_attempts, 1);
+  AttemptOutcome out;
+  for (std::uint32_t number = attempts_before + 1;; ++number) {
+    out.attempts = number;
+    try {
+      if (injector != nullptr && injector->fails(task.id, number)) {
+        // Mid-task crash: really execute a couple of cycles, roll back,
+        // then fail.
+        runner.crash(task, kCrashAfterCycles);
+        throw InjectedTaskFault(task.id, number);
+      }
+      limits.cycle_deadline = injector != nullptr && injector->overruns(task.id, number)
+                                  ? 1  // livelock: the deadline machinery must cut it off
+                                  : attempt_deadline(policy.cycle_deadline, number);
+      out.measurement = runner.attempt(task, limits);
+      out.result = AttemptResult::Completed;
+      out.error.clear();
+      out.exception = nullptr;
+    } catch (...) {
+      out.exception = std::current_exception();
+      describe_failure(out);
+    }
+    if (on_attempt) on_attempt(out);
+    if (out.result == AttemptResult::Completed || out.result == AttemptResult::Aborted ||
+        number >= max_attempts) {
+      return out;
+    }
+  }
+}
 
 }  // namespace psmsys::psm

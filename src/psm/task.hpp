@@ -9,6 +9,7 @@
 // after another, measuring each task's work-unit cost and per-cycle records.
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "ops5/engine.hpp"
+#include "psm/faults.hpp"
 #include "util/counters.hpp"
 
 namespace psmsys::psm {
@@ -49,9 +51,9 @@ struct TaskProcessFactory {
   std::function<void(ops5::Engine&)> base_init;
 };
 
-/// Thrown by TaskRunner::run_guarded when an attempt exceeds its cycle
-/// deadline. The attempt's working-memory effects have already been rolled
-/// back when this escapes.
+/// Thrown by TaskRunner::attempt when an attempt exceeds its cycle deadline.
+/// The attempt's working-memory effects have already been rolled back when
+/// this escapes.
 class TaskDeadlineExceeded : public std::runtime_error {
  public:
   TaskDeadlineExceeded(std::uint64_t task_id, std::uint64_t cycle_deadline)
@@ -64,10 +66,10 @@ class TaskDeadlineExceeded : public std::runtime_error {
   std::uint64_t cycle_deadline;
 };
 
-/// Thrown by TaskRunner::run_guarded / run_isolated when the caller's
-/// cancellation predicate turns true between execution slices (the serve
-/// watchdog's wall-clock abort). The attempt's working-memory effects have
-/// already been rolled back when this escapes.
+/// Thrown by TaskRunner::attempt when the caller's cancellation predicate
+/// turns true between execution slices (the serve watchdog's wall-clock
+/// abort). The attempt's working-memory effects have already been rolled
+/// back when this escapes.
 class TaskAborted : public std::runtime_error {
  public:
   explicit TaskAborted(std::uint64_t task_id)
@@ -76,7 +78,30 @@ class TaskAborted : public std::runtime_error {
   std::uint64_t task_id;
 };
 
+/// Bounds on one TaskRunner::attempt. The functions are borrowed, not
+/// copied; either may be null.
+struct AttemptLimits {
+  /// Recognize-act cycles before the attempt is cut off (0 = unlimited).
+  std::uint64_t cycle_deadline = 0;
+  /// Polled between slices of `poll_every` cycles; true rolls the attempt
+  /// back and throws TaskAborted. Slicing changes neither firing order nor
+  /// measurements — the conflict set carries over between run() calls.
+  const std::function<bool()>* cancelled = nullptr;
+  std::uint64_t poll_every = 0;  ///< 0 = never poll
+  /// Reads results out of working memory after the task quiesces, before
+  /// the attempt's scope is closed. A throw rolls the attempt back.
+  const std::function<void(ops5::Engine&)>* collect = nullptr;
+};
+
 /// One task process: engine + base WM, executing tasks sequentially.
+///
+/// An attempt's rollback scope follows from the runner's state. With no
+/// stream open, an attempt opens the undo journal, commits it on success
+/// and rolls the whole log back on failure (psm::run). Inside a stream
+/// (begin_stream() .. end_stream()), an attempt opens a checkpoint, keeps
+/// its effects on success and rolls back to the checkpoint on failure,
+/// earlier ticks' effects surviving (serve). Either rollback restores
+/// working memory, timetags, recency and the conflict set bit-identically.
 class TaskRunner {
  public:
   /// `match_threads`: when set, the engine is rebuilt with that many match
@@ -92,87 +117,98 @@ class TaskRunner {
   /// Inject the task, run to quiescence, and return the measured deltas.
   TaskMeasurement run(const Task& task);
 
-  /// Fault-tolerant attempt: journaled execution under a per-attempt cycle
-  /// deadline (0 = unlimited). If the deadline cuts the run off, or the
-  /// task's inject/rules throw, the engine is rolled back bit-identically
-  /// to its pre-attempt state (working memory, timetags, recency) and the
-  /// error propagates (TaskDeadlineExceeded for deadline cuts). On success
-  /// the measurement is exactly what run() would have produced.
-  ///
-  /// When both `cancelled` and `cancel_check_every` are set, execution runs
-  /// in slices of `cancel_check_every` cycles and polls `cancelled` between
-  /// slices; a true result rolls back and throws TaskAborted. Slicing changes
-  /// neither firing order nor measurements — the conflict set carries over
-  /// between run() calls untouched.
-  TaskMeasurement run_guarded(const Task& task, std::uint64_t cycle_deadline = 0,
-                              const std::function<bool()>& cancelled = {},
-                              std::uint64_t cancel_check_every = 0);
-
-  /// Session-style attempt: like run_guarded, but the attempt's WM effects
-  /// are ALWAYS rolled back — after `collect` (if given) has read results out
-  /// of working memory. The engine therefore returns to its base state
-  /// bit-identically (WMEs, timetags, recency) whether the task succeeded,
-  /// overran, or threw, which is what lets one resident engine serve an
-  /// arbitrary scene sequence with per-scene output independent of ordering.
-  /// A throwing `collect` also rolls back, then rethrows.
-  TaskMeasurement run_isolated(const Task& task, std::uint64_t cycle_deadline = 0,
-                               const std::function<bool()>& cancelled = {},
-                               std::uint64_t cancel_check_every = 0,
-                               const std::function<void(ops5::Engine&)>& collect = {});
+  /// Fault-tolerant attempt under `limits`. If the deadline cuts the run
+  /// off, the predicate cancels it, or the task's inject/rules/collect
+  /// throw, the attempt is rolled back and the error propagates
+  /// (TaskDeadlineExceeded / TaskAborted / the original exception). On
+  /// success the measurement is exactly what run() would have produced.
+  TaskMeasurement attempt(const Task& task, const AttemptLimits& limits = {});
 
   /// Fault-simulation helper: start the task for real, execute at most
-  /// `cycles` recognize-act cycles, then abort and roll back — the mid-task
-  /// crash the injector uses to prove recovery leaves no partial state.
-  void abort_after(const Task& task, std::uint64_t cycles);
+  /// `cycles` recognize-act cycles, then roll back — the mid-task crash the
+  /// injector uses to prove recovery leaves no partial state.
+  void crash(const Task& task, std::uint64_t cycles);
 
-  // ------------------------------ streaming -------------------------------
-  //
-  // A stream holds the undo log open across many ticks: begin_stream() opens
-  // the journal, each run_tick() snapshots a checkpoint and keeps its WM
-  // effects on success (rolling back only its own tail on failure), and
-  // end_stream() rolls the whole journal back so the engine returns to its
-  // base state bit-identically — the same recovery contract run_isolated()
-  // gives a single scene, stretched over a tick sequence.
-
-  /// Open the stream journal. Throws if a stream (or any undo log) is
-  /// already active.
+  /// Open the stream journal: until end_stream(), attempts keep their
+  /// effects. Throws if a stream (or any undo log) is already active.
   void begin_stream();
-
-  /// Execute one tick inside an open stream: checkpoint, inject, run to
-  /// quiescence under the same deadline/cancellation discipline as
-  /// run_isolated, then `collect` (if given) reads results out of WM. On
-  /// success the tick's WM effects STAY (that is the point of a stream); on
-  /// deadline cut, cancellation, or any throw the engine is rolled back to
-  /// the tick's checkpoint — earlier ticks' effects survive — and the error
-  /// propagates (TaskDeadlineExceeded / TaskAborted / original exception).
-  TaskMeasurement run_tick(const Task& task, std::uint64_t cycle_deadline = 0,
-                           const std::function<bool()>& cancelled = {},
-                           std::uint64_t cancel_check_every = 0,
-                           const std::function<void(ops5::Engine&)>& collect = {});
-
-  /// Fault-simulation helper for streams: like abort_after, but scoped to a
-  /// tick checkpoint inside the open stream journal instead of opening its
-  /// own undo log.
-  void abort_tick_after(const Task& task, std::uint64_t cycles);
 
   /// Close the stream: roll back every tick's effects so the engine is
   /// bit-identical to its pre-begin_stream() state.
   void end_stream();
 
-  [[nodiscard]] bool stream_active() const noexcept;
-
   [[nodiscard]] ops5::Engine& engine() noexcept { return *engine_; }
   [[nodiscard]] const ops5::Engine& engine() const noexcept { return *engine_; }
 
  private:
+  /// The scope of one attempt: a checkpoint inside a stream, else nullopt
+  /// for the whole journal.
+  using Scope = std::optional<ops5::Engine::UndoCheckpoint>;
+  Scope open_scope();
+  void close_scope(const Scope& scope, bool keep);
   TaskMeasurement measure_from(const Task& task, const util::WorkCounters& before);
-  bool run_sliced(std::uint64_t cycle_deadline, const std::function<bool()>& cancelled,
-                  std::uint64_t cancel_check_every, std::uint64_t task_id);
-  void rollback();
+  bool run_sliced(const AttemptLimits& limits, std::uint64_t task_id);
 
   std::unique_ptr<ops5::Engine> engine_;
   std::size_t cycle_offset_ = 0;
   bool stream_active_ = false;
 };
+
+// ------------------------------ attempt loop -------------------------------
+//
+// The paper's tasks are independent OPS5 runs, which is what lets a failed
+// one be rolled back and run again. One loop does that for both executors:
+// psm::run's batch tasks (journal scope) and the server's ticks (checkpoint
+// scope).
+
+/// How many attempts a task gets, and under what cycle budget.
+struct AttemptPolicy {
+  /// Attempts before the task is quarantined (0 is read as 1).
+  std::size_t max_attempts = 3;
+  /// Recognize-act cycles for the first attempt (0 = unlimited). Each retry
+  /// doubles it, so a task that was merely slow (not livelocked) can still
+  /// complete before quarantine.
+  std::uint64_t cycle_deadline = 0;
+};
+
+/// The cycle budget of attempt `attempt` (1-based): `first` doubled per
+/// retry, saturating at UINT64_MAX; 0 stays unlimited.
+[[nodiscard]] std::uint64_t attempt_deadline(std::uint64_t first, std::uint32_t attempt) noexcept;
+
+/// Why a task attempt ended.
+enum class AttemptResult : std::uint8_t {
+  Completed,         ///< ran to quiescence; measurement recorded
+  Fault,             ///< the attempt threw (injected or real); rolled back
+  DeadlineExceeded,  ///< cut off by the cycle deadline; rolled back
+  Aborted,           ///< cancelled between slices; rolled back, never retried
+  WorkerDied,        ///< psm::run: the executing process died; task requeued
+};
+
+[[nodiscard]] const char* to_string(AttemptResult result) noexcept;
+
+/// The loop's state after each attempt (what its hook sees) and at its end.
+struct AttemptOutcome {
+  AttemptResult result = AttemptResult::Completed;  ///< of the latest attempt
+  std::uint32_t attempts = 0;                       ///< number of the latest attempt
+  TaskMeasurement measurement;                      ///< valid when Completed
+  std::string error;             ///< what() of the latest attempt, if it failed
+  std::exception_ptr exception;  ///< the latest attempt's failure
+};
+
+using AttemptHook = std::function<void(const AttemptOutcome&)>;
+
+/// Attempt `task` on `runner` until an attempt completes, a TaskAborted
+/// ends the loop (never retried), or an attempt numbered max_attempts or
+/// more fails by fault or deadline overrun — the task is then quarantined.
+/// Numbering continues after `attempts_before` earlier attempts. Before
+/// each attempt the injector (may be null) is asked first: `fails` crashes
+/// the attempt mid-run, `overruns` gives it a 1-cycle deadline; otherwise
+/// the deadline is attempt_deadline(policy.cycle_deadline, number).
+/// `on_attempt` (may be empty) runs after every attempt.
+[[nodiscard]] AttemptOutcome run_attempts(TaskRunner& runner, const Task& task,
+                                          const AttemptPolicy& policy,
+                                          const FaultInjector* injector, AttemptLimits limits,
+                                          const AttemptHook& on_attempt,
+                                          std::uint32_t attempts_before = 0);
 
 }  // namespace psmsys::psm

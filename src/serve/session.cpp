@@ -1,11 +1,6 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <exception>
-
-#include "obs/trace.hpp"
+#include <utility>
 
 namespace psmsys::serve {
 
@@ -30,31 +25,12 @@ const char* to_string(RejectReason reason) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Same growth law as the robust executor's per-attempt deadline.
-std::uint64_t grown_deadline(const SessionOptions& options, std::uint32_t attempt) {
-  if (options.cycle_deadline == 0) return 0;
-  const double grown =
-      static_cast<double>(options.cycle_deadline) *
-      std::pow(std::max(options.deadline_growth, 1.0), static_cast<double>(attempt - 1));
-  return static_cast<std::uint64_t>(grown);
-}
-
-/// Cycles an injected mid-scene crash executes before dying (matches the
-/// robust executor's kCrashAfterCycles): enough to leave partial WM state
-/// behind, so isolation genuinely depends on the rollback.
-constexpr std::uint64_t kCrashAfterCycles = 2;
-
-}  // namespace
-
 EngineContext::EngineContext(std::shared_ptr<const SharedRuleBase> rulebase,
                              const std::function<void(ops5::Engine&)>& base_init,
                              SessionOptions options)
     : rulebase_(std::move(rulebase)),
       options_(std::move(options)),
       runner_(psm::TaskProcessFactory{[this] { return rulebase_->make_engine(); }, base_init}) {
-  if (options_.max_attempts == 0) options_.max_attempts = 1;
   if (options_.capture_firing_log || options_.trace_sink) {
     // Watch level 1 — one line per firing, the byte-identity proof surface.
     // Every line carries the session prefix, so a shared sink fed by many
@@ -84,47 +60,44 @@ void Session::begin() {
 Session::TickOutcome Session::run_tick(const SceneJob& job,
                                        const std::function<bool()>& aborted) {
   const SessionOptions& options = context_.options_;
-  TickOutcome out;
   const psm::Task task{id_, job.label, job.inject};
-  for (std::uint32_t attempt = 1; attempt <= options.max_attempts; ++attempt) {
-    context_.firing_log_.clear();
-    out.attempts = attempt;
-    try {
-      if (options.injector != nullptr && options.injector->fails(id_, attempt)) {
-        // Mid-tick crash: really execute a couple of cycles, roll back to
-        // the tick's checkpoint, then fail — the poisoned-scene path of the
-        // fault-storm test. Earlier ticks' resident WM survives.
-        context_.runner_.abort_tick_after(task, kCrashAfterCycles);
-        throw psm::InjectedTaskFault(id_, attempt);
-      }
-      const std::uint64_t deadline =
-          (options.injector != nullptr && options.injector->overruns(id_, attempt))
-              ? 1  // livelock: the deadline machinery must cut it off
-              : grown_deadline(options, attempt);
-      psm::TaskMeasurement m = context_.runner_.run_tick(
-          task, deadline, aborted, options.abort_check_every, job.collect);
+  psm::AttemptLimits limits;
+  limits.cancelled = aborted ? &aborted : nullptr;
+  limits.poll_every = options.abort_check_every;
+  limits.collect = job.collect ? &job.collect : nullptr;
+  // A failed attempt's firing lines (an injected crash's, or an overrun's)
+  // are rolled back with it; its error text is reported even when a retry
+  // completes.
+  TickOutcome out;
+  context_.firing_log_.clear();
+  psm::AttemptOutcome outcome = psm::run_attempts(
+      context_.runner_, task, options.attempts, options.injector, limits,
+      [this, &out](const psm::AttemptOutcome& attempt) {
+        if (attempt.result == psm::AttemptResult::Completed) return;
+        context_.firing_log_.clear();
+        out.error = attempt.error;
+      });
+  out.attempts = outcome.attempts;
+  switch (outcome.result) {
+    case psm::AttemptResult::Completed:
       out.status = SceneStatus::Completed;
-      out.counters = m.counters;
+      out.counters = outcome.measurement.counters;
       out.firing_log = std::move(context_.firing_log_);
+      context_.firing_log_.clear();
       out.wm_size = context_.engine().wm_size();
       out.live_tokens = context_.engine().network().live_tokens();
       break;
-    } catch (const psm::TaskAborted&) {
+    case psm::AttemptResult::Aborted:
       // Watchdog wall-clock abort: terminal, no retry — the budget that
       // tripped is host time, so a retry would just burn it again.
       out.status = SceneStatus::Aborted;
       out.error = "aborted by watchdog";
       break;
-    } catch (const std::exception& e) {
-      // Transient fault or cycle-deadline overrun: rolled back to the tick
-      // checkpoint already; retry with a grown deadline until attempts run
-      // out.
-      out.error = e.what();
+    default:
+      // Faults and cycle-deadline overruns, each rolled back to the tick
+      // checkpoint, until the attempts ran out.
       out.status = SceneStatus::Quarantined;
-    } catch (...) {
-      out.error = "unknown error";
-      out.status = SceneStatus::Quarantined;
-    }
+      break;
   }
   return out;
 }
@@ -134,33 +107,6 @@ void Session::finish() {
   context_.firing_log_.clear();
   context_.prefix_.clear();
   ++context_.scenes_run_;
-}
-
-SceneReport Session::run(const SceneJob& job, const std::function<bool()>& aborted) {
-  const SessionOptions& options = context_.options_;
-  SceneReport report;
-  report.scene = id_;
-  report.label = job.label;
-
-  begin();
-  const auto begin_ts = obs::Tracer::Clock::now();
-  TickOutcome out = run_tick(job, aborted);
-  const auto end_ts = obs::Tracer::Clock::now();
-  finish();
-
-  report.status = out.status;
-  report.attempts = out.attempts;
-  report.error = std::move(out.error);
-  report.counters = out.counters;
-  report.firing_log = std::move(out.firing_log);
-  if (options.tracer != nullptr) {
-    obs::json::Object args;
-    args.emplace_back("status", obs::json::Value(std::string(to_string(report.status))));
-    args.emplace_back("attempts", obs::json::Value(static_cast<std::uint64_t>(report.attempts)));
-    options.tracer->record_span("scene " + std::to_string(id_), "scene", begin_ts, end_ts,
-                                static_cast<std::uint32_t>(id_), std::move(args));
-  }
-  return report;
 }
 
 }  // namespace psmsys::serve

@@ -80,12 +80,11 @@ struct SceneReport {
 
 /// Per-session execution policy, shared by every session of a server.
 struct SessionOptions {
-  /// Recognize-act cycles per attempt (0 = unlimited). The deterministic
-  /// runaway bound: a scene that exceeds it is rolled back and retried with
-  /// a grown deadline, then quarantined after max_attempts.
-  std::uint64_t cycle_deadline = 0;
-  double deadline_growth = 2.0;  ///< deadline multiplier per retry
-  std::size_t max_attempts = 2;  ///< attempts before quarantine (min 1)
+  /// Attempts per scene or tick (2 by default) and the first attempt's
+  /// cycle deadline (0 = unlimited). The deadline is the deterministic
+  /// runaway bound: a tick that exceeds it is rolled back and retried with
+  /// a doubled deadline, then quarantined after max_attempts.
+  psm::AttemptPolicy attempts{.max_attempts = 2};
   /// Cycles between watchdog-abort polls while a scene runs; 0 disables
   /// polling (the wall-clock watchdog then cannot interrupt mid-scene).
   std::uint64_t abort_check_every = 64;
@@ -131,19 +130,13 @@ class EngineContext {
 /// (attempt/retry per the context's options, per-tick checkpoint rollback on
 /// failure) and KEEPS its effects resident, and finish() rolls the whole
 /// journal back so the context returns to its base working memory
-/// bit-identically. run() is the one-shot wrapper: begin + one tick +
-/// finish, so batch scenes and streams share one execution code path.
+/// bit-identically. A one-shot scene is a stream of one tick, so batch
+/// scenes and streams share one execution code path.
 class Session {
  public:
   Session(SceneId id, EngineContext& context) : id_(id), context_(context) {}
 
   [[nodiscard]] SceneId id() const noexcept { return id_; }
-
-  /// Execute the scene: one tick between begin() and finish(). The context
-  /// is back at its base working memory when this returns, whatever the
-  /// outcome. `aborted` (may be empty) is polled between cycle slices for
-  /// the wall-clock watchdog.
-  [[nodiscard]] SceneReport run(const SceneJob& job, const std::function<bool()>& aborted);
 
   /// What one tick produced (the session-level slice of TickReport).
   struct TickOutcome {
@@ -159,10 +152,11 @@ class Session {
   /// Bind the session to the context and open the stream journal.
   void begin();
 
-  /// Execute one tick inside begin()/finish(). On Completed the tick's WM
-  /// effects stay resident; on Quarantined/Aborted the engine is back at the
-  /// tick's checkpoint (earlier ticks' effects survive) and the caller
-  /// should treat the stream as terminally failed.
+  /// Execute one tick inside begin()/finish(). `aborted` (may be empty) is
+  /// polled between cycle slices for the wall-clock watchdog. On Completed
+  /// the tick's WM effects stay resident; on Quarantined/Aborted the engine
+  /// is back at the tick's checkpoint (earlier ticks' effects survive) and
+  /// the caller should treat the stream as terminally failed.
   [[nodiscard]] TickOutcome run_tick(const SceneJob& job, const std::function<bool()>& aborted);
 
   /// Roll every tick's effects back and release the context: base working

@@ -838,5 +838,71 @@ TEST(EngineRestore, RebuildAfterCheckpointRollbackRestoresBase) {
   EXPECT_EQ(used_log.log, fresh_log.log);
 }
 
+/// Every instantiation as "production tags seq fired", sorted: the state
+/// conflict resolution reads besides WM (creation order and refraction).
+std::vector<std::string> conflict_snapshot(const Engine& engine) {
+  std::vector<std::string> rows;
+  for (const Instantiation* inst : engine.conflict_set().snapshot()) {
+    std::string row = std::to_string(inst->production->id());
+    for (const Wme* w : inst->wmes) row += " " + std::to_string(w->timetag());
+    rows.push_back(row + " seq=" + std::to_string(inst->seq) + (inst->fired ? " fired" : ""));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(EngineUndoCheckpoint, RollbackRestoresConflictSetExactly) {
+  // from-base instantiations exist before any tick. A failed tick that
+  // fires one of them, or removes one that already fired, must leave it as
+  // the checkpoint found it: the twin never ran the failed attempts.
+  const auto program = parse_shared(R"(
+(literalize a x)
+(literalize b x)
+(literalize c y)
+(literalize kill x)
+(p from-base (a ^x <v>) --> (make b ^x <v>))
+(p from-tick (c ^y <v>) --> (make b ^x <v>))
+(p kill (kill ^x <v>) (a ^x <v>) --> (remove 2))
+)");
+  Engine engine(program, nullptr);
+  Engine twin(program, nullptr);
+  Watched engine_log;
+  Watched twin_log;
+  for (Engine* e : {&engine, &twin}) {
+    e->make_wme("a", {{"x", Value(1.0)}});
+    e->make_wme("a", {{"x", Value(2.0)}});
+    e->begin_undo_log();
+  }
+  const auto expect_twins = [&] {
+    EXPECT_EQ(wm_snapshot(engine, *program), wm_snapshot(twin, *program));
+    EXPECT_EQ(conflict_snapshot(engine), conflict_snapshot(twin));
+    EXPECT_TRUE(engine.network().check_invariants().empty());
+  };
+  const auto fail_tick = [&](const char* cls, const char* attr, double v, std::uint64_t cycles) {
+    const Engine::UndoCheckpoint cp = engine.undo_checkpoint();
+    engine.make_wme(cls, {{attr, Value(v)}});
+    (void)engine.run(cycles);
+    engine.rollback_to_checkpoint(cp);
+    engine.release_checkpoint(cp);
+    expect_twins();
+  };
+
+  fail_tick("c", "y", 5.0, 2);  // fires from-tick, then the pending from-base on a ^x 2
+  engine_log.attach(engine);
+  twin_log.attach(twin);
+  for (Engine* e : {&engine, &twin}) {  // the retry fires what the twin fires
+    e->make_wme("c", {{"y", Value(5.0)}});
+    (void)e->run();
+  }
+  EXPECT_EQ(engine_log.log, twin_log.log);
+  EXPECT_EQ(engine.wmes_of_class("b").size(), 3u);  // from-tick + two from-base
+  expect_twins();
+
+  fail_tick("kill", "x", 1.0, 1);  // removes a ^x 1 and the fired from-base match on it
+  engine.rollback_undo_log();  // the stream's close still restores the base
+  twin.rollback_undo_log();
+  expect_twins();
+}
+
 }  // namespace
 }  // namespace psmsys::ops5

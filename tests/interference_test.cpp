@@ -204,7 +204,7 @@ TEST(InterferenceCertificate, LicensesFaultInjectedReplay) {
     };
     psm::RunOptions options;
     options.task_processes = procs;
-    options.robustness.max_attempts = 8;
+    options.attempts.max_attempts = 8;
     options.injector = injector;
     options.collect = collect;
     const auto result = psm::run(d.factory, d.tasks, options);

@@ -216,7 +216,7 @@ TEST_F(MatchThreadsLccTest, RecoveryUnderFaultsWithMatchThreadsOn) {
   faults.transient_rate = 0.25;  // attempts really execute, roll back, retry
   const FaultInjector injector(faults);
   RunOptions options = opts(2, 2, /*strict=*/false);
-  options.robustness.max_attempts = 8;
+  options.attempts.max_attempts = 8;
   options.injector = &injector;
 
   RunResult result;

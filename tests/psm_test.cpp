@@ -4,7 +4,6 @@
 #include <numeric>
 #include <set>
 
-#include "psm/queue.hpp"
 #include "psm/run.hpp"
 #include "spam/decomposition.hpp"
 #include "spam/scene_generator.hpp"
@@ -53,84 +52,6 @@ TEST(CountersDelta, AccumulateMatchesPlusEquals) {
   sum += b;
   EXPECT_EQ(sum.match_cost, 17u);
   EXPECT_EQ(sum.firings, 5u);
-}
-
-// ---------------------------------------------------------------------------
-// TaskQueue
-// ---------------------------------------------------------------------------
-
-TEST(TaskQueue, PopsInOrderThenEmpty) {
-  std::vector<Task> tasks(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->id, 0u);
-  EXPECT_EQ(q.pop()->id, 1u);
-  EXPECT_EQ(q.pop()->id, 2u);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 3u);
-}
-
-TEST(TaskQueue, PopHandsOutStablePointersNotCopies) {
-  std::vector<Task> tasks(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
-  const Task* a = q.pop();
-  const Task* b = q.pop();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  // Pointers into the preloaded list stay valid across later pops/requeues.
-  q.requeue(a->id);
-  EXPECT_EQ(q.pop(), a);
-  EXPECT_EQ(a->id, 0u);
-}
-
-TEST(TaskQueue, RequeuedTasksDrainBeforeFreshOnes) {
-  // Regression for the fairness note in queue.hpp: a stranded task already
-  // waited a full scheduling round, so it must be handed out before the
-  // untouched remainder of the fresh list — not after it.
-  std::vector<Task> tasks(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
-  EXPECT_EQ(q.pop()->id, 0u);
-  q.requeue(0);  // stranded while fresh tasks 1..3 still wait
-  EXPECT_EQ(q.pop()->id, 0u);  // requeued first...
-  EXPECT_EQ(q.pop()->id, 1u);  // ...then fresh order resumes
-  q.requeue(1);
-  EXPECT_EQ(q.pop()->id, 1u);
-  EXPECT_EQ(q.pop()->id, 2u);
-  EXPECT_EQ(q.pop()->id, 3u);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 6u);  // successful pops only: 0,0,1,1,2,3
-}
-
-TEST(TaskQueue, RequeueHandsTasksOutAgain) {
-  std::vector<Task> tasks(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
-  (void)q.pop();
-  (void)q.pop();
-  EXPECT_EQ(q.pop(), nullptr);
-  q.requeue(1);
-  q.requeue(0);
-  EXPECT_EQ(q.pop()->id, 1u);  // requeue order
-  EXPECT_EQ(q.pop()->id, 0u);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 4u);
-  EXPECT_THROW(q.requeue(99), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -24,11 +25,11 @@
 namespace psmsys::psm {
 namespace {
 
-RunOptions robust_opts(std::size_t procs, RobustnessPolicy policy = {},
+RunOptions robust_opts(std::size_t procs, AttemptPolicy policy = {},
                        const FaultInjector* injector = nullptr, CollectFn collect = {}) {
   RunOptions options;
   options.task_processes = procs;
-  options.robustness = policy;
+  options.attempts = policy;
   options.injector = injector;
   options.collect = std::move(collect);
   return options;
@@ -135,7 +136,7 @@ TEST(RunRobust, PoisonTasksQuarantinedNotLost) {
     tasks.push_back(i == 2 ? TinyWorkload::poison(i) : TinyWorkload::good(i));
   }
 
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 2;
   std::mutex mu;
   std::size_t results = 0;
@@ -174,10 +175,9 @@ TEST(RunRobust, RunawayTaskDeadlineQuarantinedWithoutPollutingProcess) {
   tasks.push_back(TinyWorkload::runaway(1));
   tasks.push_back(TinyWorkload::good(2));  // runs after the runaway, same process
 
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 3;
   policy.cycle_deadline = 10;
-  policy.deadline_growth = 2.0;
   std::size_t results = 0;
   const auto collect = [&](std::size_t, ops5::Engine& engine) { results += count_results(engine); };
   const auto report =
@@ -198,10 +198,9 @@ TEST(RunRobust, SlowTaskCompletesUnderDeadlineGrowth) {
   std::vector<Task> tasks;
   tasks.push_back(TinyWorkload::slow(0));  // needs ~30 cycles
 
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 3;
   policy.cycle_deadline = 10;  // attempts get 10, 20, 40 cycles
-  policy.deadline_growth = 2.0;
   const auto report = run(workload.factory(), tasks, robust_opts(1, policy)).report;
 
   expect_exact_accounting(report, 1);
@@ -213,7 +212,32 @@ TEST(RunRobust, SlowTaskCompletesUnderDeadlineGrowth) {
   EXPECT_EQ(report.attempts[0][2].result, AttemptResult::Completed);
 }
 
-TEST(RunRobust, BackoffSleepsAccompanyRetries) {
+TEST(AttemptDeadline, DoublesPerRetryAndSaturates) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(attempt_deadline(1000, 1), 1000u);
+  EXPECT_EQ(attempt_deadline(1000, 2), 2000u);
+  EXPECT_EQ(attempt_deadline(1000, 64), kMax);  // 1000 * 2^63 overflows
+  EXPECT_EQ(attempt_deadline(1000, 65), kMax);
+  EXPECT_EQ(attempt_deadline(1000, 70), kMax);
+  EXPECT_EQ(attempt_deadline(1, 64), std::uint64_t{1} << 63);
+  EXPECT_EQ(attempt_deadline(1, 65), kMax);
+  EXPECT_EQ(attempt_deadline(1, 70), kMax);
+  EXPECT_EQ(attempt_deadline(0, 70), 0u);  // unlimited stays unlimited
+}
+
+TEST(RunRobust, SaturatedDeadlineDoesNotCutOffALaterTask) {
+  // The 70th attempt's deadline is UINT64_MAX cycles; on an engine whose
+  // clock has already advanced it must still mean "no cut-off".
+  TinyWorkload workload;
+  TaskRunner runner(workload.factory());
+  (void)runner.run(TinyWorkload::good(0));
+  AttemptLimits limits;
+  limits.cycle_deadline = attempt_deadline(1000, 70);
+  const TaskMeasurement m = runner.attempt(TinyWorkload::slow(1), limits);
+  EXPECT_EQ(m.counters.cycles, 30u);
+}
+
+TEST(RunRobust, EveryAttemptFailingRetriesThenQuarantines) {
   TinyWorkload workload;
   std::vector<Task> tasks{TinyWorkload::good(0), TinyWorkload::good(1)};
 
@@ -221,15 +245,13 @@ TEST(RunRobust, BackoffSleepsAccompanyRetries) {
   faults.seed = 5;
   faults.transient_rate = 1.0;  // every attempt fails...
   FaultInjector injector(faults);
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 3;  // ...so both tasks burn all attempts
-  policy.backoff_base = std::chrono::microseconds{50};
   const auto report = run(workload.factory(), tasks, robust_opts(1, policy, &injector)).report;
 
   expect_exact_accounting(report, 2);
   EXPECT_EQ(report.quarantined_ids.size(), 2u);
   EXPECT_EQ(report.retries, 4u);  // 2 retries per task
-  EXPECT_EQ(report.backoff_sleeps, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +266,7 @@ class RobustLccTest : public ::testing::Test {
         decomposition_(spam::lcc_decomposition(3, scene_, best_)) {}
 
   [[nodiscard]] std::vector<spam::ConsistencyRecord> run_and_merge(
-      std::size_t procs, const RobustnessPolicy& policy, const FaultInjector* injector,
+      std::size_t procs, const AttemptPolicy& policy, const FaultInjector* injector,
       RunReport* out = nullptr) {
     std::mutex mu;
     std::vector<spam::ConsistencyRecord> merged;
@@ -270,7 +292,7 @@ TEST_F(RobustLccTest, NoFaultsMatchesStrictExecutorBitIdentically) {
   const auto strict =
       run(decomposition_.factory, decomposition_.tasks, strict_opts(1)).report;
   RunReport report;
-  const auto merged_robust = run_and_merge(1, RobustnessPolicy{}, nullptr, &report);
+  const auto merged_robust = run_and_merge(1, AttemptPolicy{}, nullptr, &report);
   const auto n = decomposition_.tasks.size();
 
   expect_exact_accounting(report, n);
@@ -292,7 +314,7 @@ TEST_F(RobustLccTest, NoFaultsMatchesStrictExecutorBitIdentically) {
 
 TEST_F(RobustLccTest, ResultsIdenticalWithAndWithoutRetriesForAnyProcessCount) {
   // Baseline: fault-free single process.
-  const auto baseline = run_and_merge(1, RobustnessPolicy{}, nullptr);
+  const auto baseline = run_and_merge(1, AttemptPolicy{}, nullptr);
   ASSERT_FALSE(baseline.empty());
 
   // Transient faults on ~30% of attempts: every failed attempt really
@@ -303,7 +325,7 @@ TEST_F(RobustLccTest, ResultsIdenticalWithAndWithoutRetriesForAnyProcessCount) {
   faults.seed = 2026;
   faults.transient_rate = 0.3;
   const FaultInjector injector(faults);
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 8;  // transient faults heal well before this
 
   for (const std::size_t procs : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
@@ -331,7 +353,7 @@ TEST_F(RobustLccTest, ResultsIdenticalWithAndWithoutRetriesForAnyProcessCount) {
 }
 
 TEST_F(RobustLccTest, WorkerDeathMidQueueStillDrainsAllTasks) {
-  const auto baseline = run_and_merge(1, RobustnessPolicy{}, nullptr);
+  const auto baseline = run_and_merge(1, AttemptPolicy{}, nullptr);
 
   FaultConfig faults;
   faults.kill_worker = 0;
@@ -339,7 +361,7 @@ TEST_F(RobustLccTest, WorkerDeathMidQueueStillDrainsAllTasks) {
   const FaultInjector injector(faults);
 
   RunReport report;
-  const auto merged = run_and_merge(3, RobustnessPolicy{}, &injector, &report);
+  const auto merged = run_and_merge(3, AttemptPolicy{}, &injector, &report);
 
   expect_exact_accounting(report, decomposition_.tasks.size());
   EXPECT_TRUE(report.complete());  // every task still completed
@@ -364,11 +386,11 @@ TEST_F(RobustLccTest, CombinedFaultStormStillAccountsForEveryTask) {
   faults.kill_worker = 1;
   faults.kill_at_pop = 3;
   const FaultInjector injector(faults);
-  RobustnessPolicy policy;
+  AttemptPolicy policy;
   policy.max_attempts = 6;
 
   RunReport report;
-  const auto baseline = run_and_merge(1, RobustnessPolicy{}, nullptr);
+  const auto baseline = run_and_merge(1, AttemptPolicy{}, nullptr);
   const auto merged = run_and_merge(4, policy, &injector, &report);
 
   expect_exact_accounting(report, decomposition_.tasks.size());

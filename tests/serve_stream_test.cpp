@@ -220,7 +220,7 @@ TEST(ServeStream, FailedTickRollsBackToItsCheckpointAndKillsTheStream) {
   ServerOptions options;
   options.workers = 1;
   options.session.capture_firing_log = true;
-  options.session.max_attempts = 1;
+  options.session.attempts.max_attempts = 1;
   Server server(stream_rulebase(), options);
 
   StreamHandle stream = server.open_stream("poisoned");

@@ -45,8 +45,8 @@ TEST(ServeStress, OverloadWithFaultStormKeepsExactAccounting) {
   ServerOptions options;
   options.workers = 4;
   options.queue_capacity = 16;  // far below offered load: shedding is expected
-  options.session.cycle_deadline = 100;
-  options.session.max_attempts = 2;
+  options.session.attempts.cycle_deadline = 100;
+  options.session.attempts.max_attempts = 2;
   options.session.abort_check_every = 16;
   options.session.injector = &injector;
   options.watchdog_budget = std::chrono::milliseconds(250);

@@ -250,8 +250,8 @@ std::map<SceneId, SceneReport> run_storm(const psm::FaultInjector* injector,
   options.workers = 4;
   options.queue_capacity = n_scenes;
   options.session.capture_firing_log = true;
-  options.session.max_attempts = 2;
-  options.session.cycle_deadline = 200;
+  options.session.attempts.max_attempts = 2;
+  options.session.attempts.cycle_deadline = 200;
   options.session.injector = injector;
   Server server(tiny_rulebase(), options);
 
@@ -302,6 +302,56 @@ TEST(ServeFaultStorm, HealthySessionFiringLogsAreByteIdentical) {
   EXPECT_LT(poisoned, kScenes);
 }
 
+TEST(ServeFaultStorm, RetriedSceneRefiresBaseInstantiations) {
+  // from-base matches the base WM alone, so its instantiation is pending
+  // when every scene starts. The injected crash fires it before rolling
+  // back; the retry must fire it again, exactly as a clean scene does.
+  auto program = std::make_shared<const ops5::Program>(ops5::parse_program(R"(
+(literalize a x)
+(literalize b x)
+(literalize c y)
+(p from-base (a ^x <v>) --> (make b ^x <v>))
+(p from-tick (c ^y <v>) --> (make b ^x <v>))
+)"));
+  const auto rb = SharedRuleBase::compile(std::move(program), nullptr);
+  psm::FaultConfig config;  // a seed that fails scene 0's attempt 1 only
+  config.transient_rate = 0.5;
+  for (config.seed = 1;; ++config.seed) {
+    const psm::FaultInjector probe(config);
+    if (probe.fails(0, 1) && !probe.fails(0, 2) && !probe.overruns(0, 2)) break;
+  }
+  const psm::FaultInjector injector(config);
+
+  const auto run_scene = [&rb](const psm::FaultInjector* faults, std::vector<double>& output) {
+    ServerOptions options;
+    options.workers = 1;
+    options.base_init = [](ops5::Engine& e) { e.make_wme("a", {{"x", ops5::Value(1.0)}}); };
+    options.session.capture_firing_log = true;
+    options.session.injector = faults;
+    Server server(rb, options);
+    SceneJob job;
+    job.inject = [](ops5::Engine& e) { e.make_wme("c", {{"y", ops5::Value(5.0)}}); };
+    job.collect = [&output](ops5::Engine& e) {
+      for (const ops5::Wme* wme : e.wmes_of_class("b")) output.push_back(wme->slot(0).number());
+      std::sort(output.begin(), output.end());
+    };
+    auto submitted = server.submit(std::move(job));
+    (void)server.drain();
+    return submitted.report.get();
+  };
+
+  std::vector<double> clean_output;
+  std::vector<double> retried_output;
+  const SceneReport clean = run_scene(nullptr, clean_output);
+  const SceneReport retried = run_scene(&injector, retried_output);
+  ASSERT_EQ(clean.status, SceneStatus::Completed);
+  EXPECT_EQ(clean_output, (std::vector<double>{1.0, 5.0}));
+  EXPECT_EQ(retried.status, SceneStatus::Completed);
+  EXPECT_EQ(retried.attempts, 2u);
+  EXPECT_EQ(retried.firing_log, clean.firing_log);
+  EXPECT_EQ(retried_output, clean_output);
+}
+
 // ---------------------------------------------------------------------------
 // Runaway containment: cycle deadline (deterministic) and watchdog (wall)
 // ---------------------------------------------------------------------------
@@ -322,9 +372,8 @@ TEST(ServeRunaway, CycleDeadlineQuarantinesAndNextSceneIsUnperturbed) {
   ServerOptions options;
   options.workers = 1;  // both scenes run on the same engine context
   options.session.capture_firing_log = true;
-  options.session.cycle_deadline = 40;
-  options.session.deadline_growth = 2.0;
-  options.session.max_attempts = 3;
+  options.session.attempts.cycle_deadline = 40;
+  options.session.attempts.max_attempts = 3;
   Server server(rb, options);
 
   auto runaway = server.submit(runaway_scene());
@@ -447,7 +496,7 @@ TEST(ServeRollup, DrainedStatsValidateAgainstServeSchema) {
   ServerOptions options;
   options.workers = 2;
   options.queue_capacity = 32;
-  options.session.max_attempts = 2;
+  options.session.attempts.max_attempts = 2;
   options.session.injector = &injector;
   Server server(tiny_rulebase(), options);
   for (std::uint64_t i = 0; i < 32; ++i) {
